@@ -6,13 +6,18 @@ The ring is Z^m with a bilinear product; the augmentation is a linear map
 to Z that is expected (and checked, not assumed) to be a unital ring
 homomorphism.  Its kernel I and the chain I >= I^2 >= ... are plain
 integer lattices, so every quotient I^n / I^{n+1} is computed exactly.
+
+The chain is built from a few ideal generators g of I, since
+I^{n+1} = sum_g g·I^n, and past I^2 every step works modulo the exponent d
+of I/I^2: d·I^n lies in I^{n+1}, so I^{n+1} in I^n-coordinates contains
+d·Z^r and its basis has entries below d.
 """
 
 from dataclasses import dataclass, field
 
 from .abgroup import FinAbGroup
+from .intlinalg import IntMatrix, Lattice, NotASublatticeError
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
-from .intlinalg import IntMatrix
 
 __all__ = [
     "AugmentedRing",
@@ -259,7 +264,9 @@ class AugmentedRing:
         checks["augmentation_unit"] = unit_ok
 
         ideal = self.augmentation_ideal()
-        square = self._ideal_product(ideal, ideal)
+        square = lattice_from_generators(
+            self.dim, self._products(self.ideal_generators(), ideal)
+        )
         torsion_ok = square.rank == ideal.rank
         if not torsion_ok:
             failures.append(
@@ -276,43 +283,82 @@ class AugmentedRing:
         """The kernel of the augmentation as a lattice in Z^dim."""
         return kernel_basis(IntMatrix([list(self.augmentation)]))
 
-    def _ideal_product(self, a, b):
-        """Lattice spanned by all products of the two ideals' elements.
+    def ideal_generators(self):
+        """A few elements g of I whose ideals A·g add up to I.
 
-        Bilinearity reduces the span to products of basis pairs; duplicates
-        are dropped (deterministically, preserving first-seen order) before
-        echelon insertion.
+        The HNF rows of I are taken in order, skipping any row already in
+        the span of b_i·g over the generators g picked so far.  The group
+        ring of C2xC2xC8 needs 3 of its 31 rows.
         """
-        gens = {}
-        for x in a.basis.data:
-            for y in b.basis.data:
-                gens[tuple(self.multiply(x, y))] = None
-        return lattice_from_generators(self.dim, list(gens))
+        m = self.dim
+        gens = []
+        closure = Lattice.zero(m)
+        for row in self.augmentation_ideal().basis.data:
+            if closure.contains(row):
+                continue
+            gens.append(row)
+            closure = lattice_from_generators(
+                m,
+                closure.basis.data
+                + [self.multiply(self.basis_vector(i), row) for i in range(m)],
+            )
+        return gens
+
+    def _products(self, gens, lattice):
+        """Distinct products g·b of the generators with the basis rows,
+        in first-seen order."""
+        out = {}
+        for g in gens:
+            for b in lattice.basis.data:
+                out[tuple(self.multiply(g, b))] = None
+        return list(out)
 
     def ideal_powers(self, max_n):
         """Lattices for I^1, I^2, ..., I^{max_n+1}, in that order.
 
-        Raises RankDropError the moment some power spans less than I does;
-        past that point the consecutive quotients stop being finite and the
-        chain is no longer the object of interest.
+        I^{n+1} is spanned by the products g·b of the ideal generators g
+        with a basis B_n of I^n.  I^2 is computed exactly and gives d, the
+        exponent of I/I^2.  Each later step writes the products in
+        I^n-coordinates and takes the lattice C they span together with
+        d·Z^r, which lies inside because d·I^n ⊆ I^{n+1}; the rows of C·B_n
+        then span I^{n+1}.  That lemma needs the ring axioms, so the ring
+        should have passed ``validate``.
+
+        Raises RankDropError when I^2 spans less than I does; the
+        consecutive quotients are then not finite and the chain is no
+        longer the object of interest.
         """
         if not isinstance(max_n, int) or max_n < 1:
             raise ValueError("max_n must be a positive integer")
         ideal = self.augmentation_ideal()
-        powers = [ideal]
-        for n in range(1, max_n + 1):
+        gens = self.ideal_generators()
+        square = lattice_from_generators(self.dim, self._products(gens, ideal))
+        if square.rank < ideal.rank:
+            raise RankDropError(
+                f"rank of I^2 dropped to {square.rank} "
+                f"(rank of I is {ideal.rank}); torsion axiom violated"
+            )
+        factors = quotient_invariants(ideal, square).factors
+        d = factors[-1] if factors else 1
+        powers = [ideal, square]
+        for n in range(2, max_n + 1):
             prev = powers[-1]
-            if len(powers) > 1 and prev == powers[-2]:
+            if prev == powers[-2]:
                 # the chain went stationary; no new spans can appear
                 powers.append(prev)
                 continue
-            nxt = self._ideal_product(ideal, prev)
-            if nxt.rank < ideal.rank:
-                raise RankDropError(
-                    f"rank of I^{n + 1} dropped to {nxt.rank} "
-                    f"(rank of I is {ideal.rank}); torsion axiom violated"
-                )
-            powers.append(nxt)
+            coords = []
+            for p in self._products(gens, prev):
+                c = prev.coordinates(p)
+                if c is None:
+                    raise NotASublatticeError(
+                        f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"
+                    )
+                coords.append(c)
+            step = lattice_from_generators(prev.rank, coords, modulus=d)
+            powers.append(
+                lattice_from_generators(self.dim, (step.basis @ prev.basis).data)
+            )
         return powers
 
     def quotient_group(self, n):

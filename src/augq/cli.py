@@ -46,6 +46,7 @@ from .stabilize import (
     ReportInconsistencyError,
     build_report,
     quotient_sequence,
+    quotient_to_dict,
     report_csv_rows,
     report_to_dict,
 )
@@ -312,15 +313,7 @@ def cmd_qn(args):
             {
                 "ring_id": ring_id,
                 "max_n": args.max_n,
-                "quotients": [
-                    {
-                        "n": q.n,
-                        "group": list(q.group.invariant_factors),
-                        "order": q.order if q.order < 2**63 else str(q.order),
-                        "ideal_rank": q.ideal_rank,
-                    }
-                    for q in quotients
-                ],
+                "quotients": [quotient_to_dict(q) for q in quotients],
             },
             indent=2,
         )

@@ -235,7 +235,13 @@ def enumerate_subgroups(g, max_order=None):
     desk-scale tool.
     """
     if max_order is None:
-        max_order = int(os.environ.get("AUGQ_MAX_ORDER", DEFAULT_MAX_ORDER))
+        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+        try:
+            max_order = int(raw)
+        except ValueError:
+            raise BadParameterError(
+                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
+            ) from None
     if g.order > max_order:
         raise TooLargeError(
             f"group order {g.order} exceeds the enumeration guard {max_order}"

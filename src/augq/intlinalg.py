@@ -11,8 +11,12 @@ fixed once so that canonical equality does real work:
   and zeros trailing.  Unit entries stay in the matrix; they are stripped
   only when invariant factors are extracted.
 
-Sizes are desk scale (dimensions up to about a hundred), so the
-implementations favour exactness and clarity over asymptotics.
+Sizes are desk scale (dimensions up to about a hundred).  Plain echelon
+insertion can still grow intermediate coefficients far past the size of
+the canonical result, so ``lattice_from_generators`` also takes a modulus:
+for a lattice known to contain d·Z^n it works modulo d (Domich–Kannan–
+Trotter 1987; Cohen, GTM 138, §2.4.2), and the echelon's entries stay
+within [0, d].
 """
 
 import bisect
@@ -96,11 +100,14 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        bt = other.transpose().data
-        out = [
-            [sum(x * y for x, y in zip(row, col)) for col in bt]
-            for row in self.data
-        ]
+        # each output row is a combination of other's rows; zeros are skipped
+        out = []
+        for row in self.data:
+            acc = [0] * other.ncols
+            for x, orow in zip(row, other.data):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, orow)]
+            out.append(acc)
         return IntMatrix(out, ncols=other.ncols)
 
     def det(self):
@@ -242,6 +249,44 @@ class _Echelon:
                     self.trows.insert(idx, tv)
                 return False, None
 
+    def insert_mod(self, row, d):
+        """Insert ``row`` keeping every entry right of a pivot in [0, d).
+
+        Each reduction adds multiples of d·e_k for columns k right of the
+        current pivot, so the span is kept only up to d·Z^n unless those
+        d·e_k are already spanned by the rows with pivots at or past k.
+        """
+        v = list(row)
+        n = self.ncols
+        pivots = self.pivots
+        rows = self.rows
+        c = 0
+        while True:
+            while c < n and not v[c]:
+                c += 1
+            if c == n:
+                return
+            idx = bisect.bisect_left(pivots, c)
+            if idx < len(pivots) and pivots[idx] == c:
+                h = rows[idx]
+                a = h[c]
+                b = v[c]
+                if b % a == 0:
+                    q = b // a
+                    v = [(x - q * y) % d for x, y in zip(v, h)]
+                else:
+                    # gcd(a, b) < a <= d, so reducing the new pivot is a no-op
+                    g, x, y = _xgcd(a, b)
+                    af = a // g
+                    bf = b // g
+                    rows[idx] = [(x * p + y * q2) % d for p, q2 in zip(h, v)]
+                    v = [(af * q2 - bf * p) % d for p, q2 in zip(h, v)]
+                c += 1
+            else:
+                pivots.insert(idx, c)
+                rows.insert(idx, v)
+                return
+
     def canonicalize(self):
         """Normalize in place: positive pivots, entries above reduced."""
         track = bool(self.trows)
@@ -353,16 +398,35 @@ class Lattice:
         return f"Lattice({self.ambient_dim}, {self.basis.data!r})"
 
 
-def lattice_from_generators(ambient_dim, generators):
+def lattice_from_generators(ambient_dim, generators, modulus=None):
     """Canonical lattice spanned by the given integer vectors.
 
     An empty generator list (or all-zero generators) yields the zero lattice.
+
+    With a positive ``modulus`` d the result is the span of the vectors
+    together with d·Z^n, and the echelon's entries stay within [0, d].  The
+    vectors are echelonized modulo d; then d·e_j is inserted exactly for
+    j = n-1 down to 0.  That last pass is what makes the answer right, not
+    just right modulo d: rows (2, 1) and (0, 4) echelonize {(2, 1)} + 4·Z^2
+    modulo 4 but miss (4, 0).  Going right to left, every d·e_k with k > j
+    is already spanned when d·e_j goes in, so its entries right of column j
+    can still be reduced modulo d.
     """
+    if modulus is not None and modulus < 1:
+        raise ValueError("modulus must be a positive integer")
     ech = _Echelon(ambient_dim)
     for g in generators:
         if len(g) != ambient_dim:
             raise ValueError("generator length does not match ambient dimension")
-        ech.insert(g)
+        if modulus is None:
+            ech.insert(g)
+        else:
+            ech.insert_mod([x % modulus for x in g], modulus)
+    if modulus is not None:
+        for j in reversed(range(ambient_dim)):
+            v = [0] * ambient_dim
+            v[j] = modulus
+            ech.insert_mod(v, modulus)
     ech.canonicalize()
     return Lattice(ambient_dim, IntMatrix(ech.rows, ncols=ambient_dim))
 

@@ -25,6 +25,7 @@ __all__ = [
     "detect_stabilization",
     "lambda_diagnostics",
     "quotient_sequence",
+    "quotient_to_dict",
     "report_csv_rows",
     "report_from_dict",
     "report_from_json",
@@ -184,21 +185,22 @@ def build_report(ring, ring_id, max_n=DEFAULT_MAX_N, min_window=DEFAULT_MIN_WIND
 # -- serialization ----------------------------------------------------------
 
 
+def quotient_to_dict(q):
+    return {
+        "n": q.n,
+        "group": [encode_int(f) for f in q.group.invariant_factors],
+        "order": encode_int(q.order),
+        "ideal_rank": q.ideal_rank,
+    }
+
+
 def report_to_dict(report):
     return {
         "ring_id": report.ring_id,
         "max_n": report.max_n,
         "d": encode_int(report.d),
         "r": report.r,
-        "quotients": [
-            {
-                "n": q.n,
-                "group": [encode_int(f) for f in q.group.invariant_factors],
-                "order": encode_int(q.order),
-                "ideal_rank": q.ideal_rank,
-            }
-            for q in report.quotients
-        ],
+        "quotients": [quotient_to_dict(q) for q in report.quotients],
         "n0_candidate": report.n0_candidate,
         "window": report.window,
         "certified": report.certified,

@@ -10,7 +10,12 @@ from augq.augring import (
     decode_int,
     encode_int,
 )
-from oracles import det_laplace
+from augq.abgroup import FinAbGroup
+from augq.constructors import group_ring
+from augq.intlinalg import lattice_from_generators
+from augq.stabilize import quotient_sequence
+from conftest import build_corpus_ring, corpus_ring_specs
+from oracles import det_laplace, random_unimodular, solve_exact
 
 
 def zc2():
@@ -193,6 +198,72 @@ def test_quotient_order_matches_determinant_index():
             assert all(c is not None for c in coords)
             q = ring.quotient_group(n)
             assert q.order == abs(det_laplace(coords))
+
+
+def test_ideal_generators_close_to_the_ideal_on_corpus():
+    for family, spec in corpus_ring_specs():
+        ring = build_corpus_ring(family, spec)
+        ideal = ring.augmentation_ideal()
+        gens = ring.ideal_generators()
+        assert all(ideal.contains(g) for g in gens)
+        closure = lattice_from_generators(
+            ring.dim,
+            [ring.multiply(ring.basis_vector(i), g) for g in gens for i in range(ring.dim)],
+        )
+        assert closure == ideal, (family, spec)
+
+
+def test_chain_c2xc2xc8_to_twenty():
+    ring = group_ring(FinAbGroup([2, 2, 8]))
+    assert len(ring.ideal_generators()) <= 3
+    d = ring.torsion_exponent()
+    powers = ring.ideal_powers(20)
+    assert len(powers) == 21
+    for big, small in zip(powers, powers[1:]):
+        assert big.contains_lattice(small)
+        assert all(small.contains([d * x for x in row]) for row in big.basis.data)
+
+
+def _rebased(ring, rng):
+    """The ring on the basis b'_i = sum_j U[i][j] b_j for a seeded unimodular
+    U that keeps the identity element as a basis element."""
+    m = ring.dim
+    e = ring.identity_index
+    others = [i for i in range(m) if i != e]
+    v = random_unimodular(rng, m - 1)
+    u = [[int(i == j == e) for j in range(m)] for i in range(m)]
+    for a, i in enumerate(others):
+        for b, j in enumerate(others):
+            u[i][j] = v[a][b]
+        u[i][e] = rng.randint(-2, 2)
+    ut = [list(col) for col in zip(*u)]
+    structure = {}
+    for i in range(m):
+        for j in range(i, m):
+            # new coordinates y of b'_i b'_j solve y U = (b'_i b'_j in the old basis)
+            y = solve_exact(ut, ring.multiply(u[i], u[j]))
+            assert all(c.denominator == 1 for c in y)
+            structure[(i, j)] = [int(c) for c in y]
+    return AugmentedRing(
+        labels=[f"b{i}" for i in range(m)],
+        structure=structure,
+        augmentation=[ring.augment(row) for row in u],
+        identity_index=e,
+    )
+
+
+@pytest.mark.parametrize(
+    "family,spec",
+    [("group-ring", "C2xC4"), ("group-ring", "C3xC3"), ("burnside", "D4"), ("rep", "D6")],
+)
+def test_quotients_invariant_under_basis_change(family, spec):
+    ring = build_corpus_ring(family, spec)
+    want = [q.group for q in quotient_sequence(ring, 8)]
+    rng = random.Random(f"{family}:{spec}")
+    for _ in range(2):
+        rebased = _rebased(ring, rng)
+        assert rebased.validate().passed
+        assert [q.group for q in quotient_sequence(rebased, 8)] == want
 
 
 # -- serialization -----------------------------------------------------------

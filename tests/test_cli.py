@@ -268,3 +268,28 @@ def test_corpus_bad_line(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", str(corpus))
     assert code == 2
     assert "expected" in err
+
+
+def test_marks_guard_rejects_non_integer_env(capsys, monkeypatch):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "abc")
+    code, _, err = run(capsys, "marks", "--group", "S3")
+    assert code == 2
+    assert "AUGQ_MAX_ORDER" in err
+
+
+def test_qn_json_encodes_big_invariant_factors(capsys, tmp_path):
+    # x*x = (2^64 + 1) x, so Q_n = Z/(2^64 + 1) for every n
+    big = 2**64 + 1
+    spec = {
+        "basis": ["1", "x"],
+        "identity": 0,
+        "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, str(big)]],
+        "augmentation": [1, 0],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "qn", "--ring", str(path), "--max-n", "2", "--format", "json")
+    assert code == 0
+    quotients = json.loads(out)["quotients"]
+    assert [q["group"] for q in quotients] == [[str(big)], [str(big)]]
+    assert [q["order"] for q in quotients] == [str(big), str(big)]

@@ -262,3 +262,29 @@ def test_quotient_order_equals_det_index():
             order *= f
         assert q.free_rank == 0
         assert order == abs(det_laplace(mult))
+
+
+def test_modular_generators_reinsert_multiples_of_modulus():
+    # modulo 4 the rows (2, 1), (0, 4) echelonize {(2, 1)} + 4Z^2, yet miss (4, 0)
+    lat = lattice_from_generators(2, [[2, 1]], modulus=4)
+    assert lat.basis.tolist() == hnf_oracle([[2, 1], [4, 0], [0, 4]]) == [[2, 1], [0, 2]]
+    assert lat.contains([4, 0]) and lat.contains([0, 4])
+
+
+def test_modular_generators_match_oracle():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randrange(1, 6)
+        d = rng.randrange(1, 40)
+        rows = [
+            [rng.randint(-60, 60) for _ in range(n)] for _ in range(rng.randrange(0, 7))
+        ]
+        multiples = [[d * int(i == j) for j in range(n)] for i in range(n)]
+        lat = lattice_from_generators(n, rows, modulus=d)
+        assert lat.basis.tolist() == hnf_oracle(rows + multiples)
+        assert all(0 <= x <= d for row in lat.basis.data for x in row)
+
+
+def test_modular_generators_reject_bad_modulus():
+    with pytest.raises(ValueError):
+        lattice_from_generators(2, [[1, 0]], modulus=0)
