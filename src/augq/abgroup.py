@@ -12,9 +12,10 @@ p^s-multiples, together with its exact inverse.
 
 import random
 
-from .intlinalg import Lattice, lattice_from_generators, quotient_invariants
+from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
 
 __all__ = [
+    "BadParameterError",
     "FinAbGroup",
     "InconsistentProfileError",
     "NotPrimeError",
@@ -25,16 +26,25 @@ __all__ = [
 ]
 
 
-class NotPrimeError(ValueError):
+class NotPrimeError(AugqError, ValueError):
     """Raised when an argument that must be prime is not."""
 
 
-class InconsistentProfileError(ValueError):
+class InconsistentProfileError(AugqError, ValueError):
     """Raised when a valuation profile is realized by no finite abelian group."""
 
 
-class ParseError(ValueError):
+class BadParameterError(AugqError, ValueError):
+    """Parameter outside its documented range."""
+
+    exit_code = 2
+
+
+class ParseError(AugqError, ValueError):
     """Group-spec syntax error; ``position`` is the offending character index."""
+
+    exit_code = 2
+    prefix = "group spec: "
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -262,7 +272,7 @@ class ValuationProfile:
             if not _is_prime(p):
                 raise NotPrimeError(f"profile key has non-prime {p}")
             if not isinstance(s, int) or s < 0:
-                raise ValueError("profile shift must be a nonnegative integer")
+                raise BadParameterError("profile shift must be a nonnegative integer")
             if not isinstance(val, int) or val < 0:
                 raise InconsistentProfileError("profile values must be nonnegative")
             if val:
@@ -302,12 +312,20 @@ class ValuationProfile:
         for key, val in mapping.items():
             parts = str(key).split(",")
             if len(parts) != 2:
-                raise ValueError(f"profile key {key!r} is not of the form 'p,s'")
+                raise BadParameterError(
+                    f"profile key {key!r} is not of the form 'p,s'"
+                )
             try:
                 p, s = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"profile key {key!r} is not a pair of integers")
-            entries[(p, s)] = int(val)
+                raise BadParameterError(
+                    f"profile key {key!r} is not a pair of integers"
+                )
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise BadParameterError(
+                    f"profile value for key {key!r} must be an integer, got {val!r}"
+                )
+            entries[(p, s)] = val
         return cls(entries)
 
 

@@ -7,7 +7,8 @@ CSV.  Table output is for humans and not a stable interface; JSON and CSV
 are.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 failed validation or a failed mathematical check,
-2 parse/usage failure, 3 no stable window detected by ``stabilize``.
+2 parse/usage failure, 3 no stable window detected by ``stabilize``.  Every
+error maps to its code through ``AugqError.exit_code``.
 """
 
 import argparse
@@ -17,20 +18,11 @@ import json
 import os
 import sys
 
-from .abgroup import (
-    FinAbGroup,
-    InconsistentProfileError,
-    NotPrimeError,
-    ParseError,
-    ValuationProfile,
-)
-from .augring import AugmentedRing, RankDropError, RingSpecError
+from .abgroup import FinAbGroup, ValuationProfile
+from .augring import AugmentedRing
 from .constructors import (
-    BadParameterError,
     CayleyGroup,
     CayleyTableError,
-    NonIntegralStructureError,
-    TooLargeError,
     burnside_ring,
     cayley_from_abelian,
     group_ring,
@@ -39,11 +31,11 @@ from .constructors import (
     rep_ring_dihedral,
     table_of_marks,
 )
+from .intlinalg import AugqError
 from .stabilize import (
     CSV_HEADER,
     DEFAULT_MAX_N,
     DEFAULT_MIN_WINDOW,
-    ReportInconsistencyError,
     build_report,
     quotient_sequence,
     quotient_to_dict,
@@ -56,32 +48,29 @@ __all__ = ["main", "build_parser"]
 FAMILIES = ("group-ring", "burnside", "rep")
 
 
-class CliError(Exception):
-    """Error with a designated process exit code."""
+class CliError(AugqError):
+    """Usage or input error raised by the CLI itself, with its exit code."""
 
-    def __init__(self, message, code):
+    def __init__(self, message, exit_code):
         super().__init__(message)
-        self.code = code
+        self.exit_code = exit_code
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+def _int_at_least(low, message):
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(message)
+        return n
+
+    return parse
 
 
-def _window_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 2:
-        raise argparse.ArgumentTypeError("window must be at least 2")
-    return n
+_positive_int = _int_at_least(1, "must be a positive integer")
+_window_int = _int_at_least(2, "window must be at least 2")
 
 
 def _add_common(sp, ring_source=True):
@@ -104,12 +93,6 @@ def _add_common(sp, ring_source=True):
         help="output format (default: table; only JSON and CSV are stable)",
     )
     sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for sampling subcommands (reserved; none ship today)",
-    )
 
 
 def build_parser():
@@ -169,7 +152,6 @@ def build_parser():
     sp.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
     sp.add_argument("--window", type=_window_int, default=DEFAULT_MIN_WINDOW)
     sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_corpus)
 
     return parser
@@ -188,56 +170,60 @@ def _load_json_file(path):
         raise CliError(f"{path}: malformed JSON: {exc}", 2)
 
 
+def _cayley_group(spec):
+    g = parse_group_spec(spec)
+    return g if isinstance(g, CayleyGroup) else cayley_from_abelian(g)
+
+
 def _construct_family_ring(family, spec):
+    if family == "burnside":
+        return burnside_ring(_cayley_group(spec))
+    if family == "rep" and spec.startswith("D") and spec[1:].isdigit():
+        return rep_ring_dihedral(int(spec[1:]))
+    g = parse_group_spec(spec)
     if family == "rep":
-        if spec.startswith("D") and spec[1:].isdigit():
-            return rep_ring_dihedral(int(spec[1:]))
-        g = parse_group_spec(spec)
         if isinstance(g, FinAbGroup):
             return rep_ring_abelian(g)
         raise CliError(
             "the rep family accepts abelian specs and D<m> (for S3 use D3)", 2
         )
-    g = parse_group_spec(spec)
-    if family == "group-ring":
-        if not isinstance(g, FinAbGroup):
-            raise CliError(
-                "group rings are implemented for abelian groups only", 2
-            )
-        return group_ring(g)
-    if family == "burnside":
-        cay = g if isinstance(g, CayleyGroup) else cayley_from_abelian(g)
-        return burnside_ring(cay)
-    raise CliError(f"unknown family {family!r}", 2)
+    if not isinstance(g, FinAbGroup):
+        raise CliError("group rings are implemented for abelian groups only", 2)
+    return group_ring(g)
+
+
+def _ring_source(kind, spec):
+    """(ring_id, load) for a ring-spec path (kind "ring") or a group spec
+    under a family; ``load()`` builds the ring."""
+    if kind == "ring":
+        stem = os.path.splitext(os.path.basename(spec))[0]
+        return f"ring:{stem}", lambda: AugmentedRing.from_dict(_load_json_file(spec))
+    return f"{kind}:{spec}", lambda: _construct_family_ring(kind, spec)
 
 
 def _resolve_ring(args):
     """Returns (ring_id, ring) from --ring / --group / --family."""
     if args.ring and args.group:
         raise CliError("--ring and --group are mutually exclusive", 2)
-    if args.ring:
-        if os.path.isfile(args.ring) or args.ring.endswith(".json"):
-            ring = AugmentedRing.from_dict(_load_json_file(args.ring))
-            stem = os.path.splitext(os.path.basename(args.ring))[0]
-            return f"ring:{stem}", ring
-        return (
-            f"{args.family}:{args.ring}",
-            _construct_family_ring(args.family, args.ring),
-        )
-    if args.group:
-        return (
-            f"{args.family}:{args.group}",
-            _construct_family_ring(args.family, args.group),
-        )
-    raise CliError("one of --ring or --group is required", 2)
+    spec = args.ring or args.group
+    if not spec:
+        raise CliError("one of --ring or --group is required", 2)
+    kind = args.family
+    if args.ring and (os.path.isfile(spec) or spec.endswith(".json")):
+        kind = "ring"
+    ring_id, load = _ring_source(kind, spec)
+    return ring_id, load()
 
 
 def _emit(text, out_path):
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}", 2)
     else:
         sys.stdout.write(text)
 
@@ -391,12 +377,7 @@ def cmd_classify(args):
         mapping = _load_json_file(raw)
     if not isinstance(mapping, dict):
         raise CliError("profile must be a JSON object", 2)
-    try:
-        profile = ValuationProfile.from_json_mapping(mapping)
-    except (NotPrimeError, InconsistentProfileError):
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    profile = ValuationProfile.from_json_mapping(mapping)
     group = FinAbGroup.from_valuation_profile(profile)
     factors = list(group.invariant_factors)
     if args.format == "json":
@@ -420,12 +401,7 @@ def cmd_marks(args):
         except CayleyTableError as exc:
             raise CliError(f"{value}: {exc}", 2)
     else:
-        parsed = parse_group_spec(value)
-        group = (
-            parsed
-            if isinstance(parsed, CayleyGroup)
-            else cayley_from_abelian(parsed)
-        )
+        group = _cayley_group(value)
     marks = table_of_marks(group)
     classes = marks.classes
     labels = [f"H{i}" for i in range(len(classes))]
@@ -506,18 +482,11 @@ def cmd_corpus(args):
     rows = []
     all_ok = True
     for kind, spec in entries:
-        if kind == "ring":
-            stem = os.path.splitext(os.path.basename(spec))[0]
-            ring_id = f"ring:{stem}"
-        else:
-            ring_id = f"{kind}:{spec}"
+        ring_id, load = _ring_source(kind, spec)
         row = {key: "" for key in CORPUS_HEADER}
         row["ring_id"] = ring_id
         try:
-            if kind == "ring":
-                ring = AugmentedRing.from_dict(_load_json_file(spec))
-            else:
-                ring = _construct_family_ring(kind, spec)
+            ring = load()
             report = ring.validate()
             if not report.passed:
                 row["status"] = "invalid"
@@ -539,19 +508,7 @@ def cmd_corpus(args):
                     row["window"] = str(rep.window)
                     tail_group = rep.quotients[-1].group
                     row["tail"] = _invariants_cell(tail_group)
-        except (CliError, ReportInconsistencyError) as exc:
-            row["status"] = "error"
-            row["error"] = str(exc)
-            all_ok = False
-        except (
-            ParseError,
-            RingSpecError,
-            CayleyTableError,
-            TooLargeError,
-            NonIntegralStructureError,
-            BadParameterError,
-            RankDropError,
-        ) as exc:
+        except AugqError as exc:
             row["status"] = "error"
             row["error"] = str(exc)
             all_ok = False
@@ -566,27 +523,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"augq: {exc}", file=sys.stderr)
-        return exc.code
-    except ReportInconsistencyError as exc:
-        print(f"augq: INTERNAL INVARIANT VIOLATION: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"augq: group spec: {exc}", file=sys.stderr)
-        return 2
-    except (RingSpecError, CayleyTableError, BadParameterError) as exc:
-        print(f"augq: {exc}", file=sys.stderr)
-        return 2
-    except (
-        TooLargeError,
-        NonIntegralStructureError,
-        RankDropError,
-        InconsistentProfileError,
-        NotPrimeError,
-    ) as exc:
-        print(f"augq: {exc}", file=sys.stderr)
-        return 1
+    except AugqError as exc:
+        print(f"augq: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ integrality is asserted rather than assumed.
 import itertools
 import os
 
-from .abgroup import FinAbGroup, ParseError
+from .abgroup import BadParameterError, FinAbGroup, ParseError
 from .augring import AugmentedRing
+from .intlinalg import AugqError
 
 __all__ = [
     "BadParameterError",
@@ -44,20 +45,18 @@ __all__ = [
 DEFAULT_MAX_ORDER = 64
 
 
-class CayleyTableError(ValueError):
+class CayleyTableError(AugqError, ValueError):
     """The table does not describe a group with identity at index 0."""
 
+    exit_code = 2
 
-class TooLargeError(ValueError):
+
+class TooLargeError(AugqError, ValueError):
     """Group order exceeds the subgroup-enumeration guard."""
 
 
-class NonIntegralStructureError(ArithmeticError):
+class NonIntegralStructureError(AugqError, ArithmeticError):
     """A mark-vector solve produced a non-integer coefficient."""
-
-
-class BadParameterError(ValueError):
-    """Constructor parameter outside its documented range."""
 
 
 class CayleyGroup:
@@ -139,8 +138,9 @@ class CayleyGroup:
         return f"CayleyGroup(order={self.order}, name={self.name!r})"
 
 
-def cayley_from_abelian(g, name=None):
-    """Componentwise-addition table on the residue tuples of g."""
+def _residue_addition(g):
+    """The residue tuples of g's invariant factors, zero first, and the
+    table of their indices under componentwise addition."""
     factors = g.invariant_factors
     elements = list(itertools.product(*[range(f) for f in factors]))
     index = {e: i for i, e in enumerate(elements)}
@@ -148,7 +148,12 @@ def cayley_from_abelian(g, name=None):
         [index[tuple((a + b) % f for a, b, f in zip(x, y, factors))] for y in elements]
         for x in elements
     ]
-    return CayleyGroup(table, name=name or g.spec_string())
+    return elements, table
+
+
+def cayley_from_abelian(g, name=None):
+    """Componentwise-addition table on the residue tuples of g."""
+    return CayleyGroup(_residue_addition(g)[1], name=name or g.spec_string())
 
 
 def dihedral_group(m):
@@ -242,6 +247,8 @@ def enumerate_subgroups(g, max_order=None):
             raise BadParameterError(
                 f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
             ) from None
+        if max_order < 1:
+            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
     if g.order > max_order:
         raise TooLargeError(
             f"group order {g.order} exceeds the enumeration guard {max_order}"
@@ -358,6 +365,24 @@ def burnside_ring(g, max_order=None):
     )
 
 
+def _convolution_ring(g, prefix, one=None):
+    """Z on the residue tuples e of g, multiplied by adding them, with every
+    basis element augmented to 1.  Labels read ``prefix(e)``; ``one``, if
+    given, labels the zero tuple instead."""
+    elements, table = _residue_addition(g)
+    n = len(elements)
+    structure = {}
+    for i in range(n):
+        for j in range(i, n):
+            vec = [0] * n
+            vec[table[i][j]] = 1
+            structure[(i, j)] = vec
+    labels = [prefix + "(" + ",".join(str(x) for x in e) + ")" for e in elements]
+    if one is not None:
+        labels[0] = one
+    return AugmentedRing(labels, structure, [1] * n, identity_index=0)
+
+
 def group_ring(g):
     """Integral group ring of a finite abelian group.
 
@@ -365,29 +390,7 @@ def group_ring(g):
     augmentation sends every group element to 1.  The trivial group gives
     the base ring itself.
     """
-    factors = g.invariant_factors
-    elements = list(itertools.product(*[range(f) for f in factors]))
-    index = {e: i for i, e in enumerate(elements)}
-
-    def label(e):
-        if not any(e):
-            return "1"
-        return "g(" + ",".join(str(x) for x in e) + ")"
-
-    structure = {}
-    for i, x in enumerate(elements):
-        for j in range(i, len(elements)):
-            y = elements[j]
-            z = tuple((a + b) % f for a, b, f in zip(x, y, factors))
-            vec = [0] * len(elements)
-            vec[index[z]] = 1
-            structure[(i, j)] = vec
-    return AugmentedRing(
-        [label(e) for e in elements],
-        structure,
-        [1] * len(elements),
-        identity_index=index[tuple(0 for _ in factors)],
-    )
+    return _convolution_ring(g, "g", one="1")
 
 
 def rep_ring_abelian(g):
@@ -398,24 +401,7 @@ def rep_ring_abelian(g):
     has the same structure tensor as the group ring, with basis labels
     marking characters and the augmentation (every degree is 1) unchanged.
     """
-    factors = g.invariant_factors
-    elements = list(itertools.product(*[range(f) for f in factors]))
-    index = {e: i for i, e in enumerate(elements)}
-    structure = {}
-    for i, x in enumerate(elements):
-        for j in range(i, len(elements)):
-            y = elements[j]
-            z = tuple((a + b) % f for a, b, f in zip(x, y, factors))
-            vec = [0] * len(elements)
-            vec[index[z]] = 1
-            structure[(i, j)] = vec
-    labels = ["chi(" + ",".join(str(x) for x in e) + ")" for e in elements]
-    return AugmentedRing(
-        labels,
-        structure,
-        [1] * len(elements),
-        identity_index=index[tuple(0 for _ in factors)],
-    )
+    return _convolution_ring(g, "chi")
 
 
 def rep_ring_dihedral(m):

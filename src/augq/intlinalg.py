@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 __all__ = [
+    "AugqError",
     "IntMatrix",
     "InvariantFactors",
     "Lattice",
@@ -36,7 +37,16 @@ __all__ = [
 ]
 
 
-class NotASublatticeError(ValueError):
+class AugqError(Exception):
+    """Base of every augq error.  The CLI prints ``prefix`` and the message,
+    then exits with ``exit_code``: 1 for a failed mathematical check or a
+    tripped guard, 2 for bad input."""
+
+    exit_code = 1
+    prefix = ""
+
+
+class NotASublatticeError(AugqError, ValueError):
     """Raised when a claimed sublattice is not contained in its enclosure."""
 
 

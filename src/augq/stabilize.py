@@ -14,9 +14,9 @@ because no finite window proves the sequence stays put afterwards.
 import json
 from dataclasses import dataclass
 
-from .abgroup import FinAbGroup
+from .abgroup import FinAbGroup, _factorint
 from .augring import QuotientResult, decode_int, encode_int
-from .intlinalg import quotient_invariants
+from .intlinalg import AugqError, quotient_invariants
 
 __all__ = [
     "ReportInconsistencyError",
@@ -38,8 +38,10 @@ DEFAULT_MAX_N = 20
 DEFAULT_MIN_WINDOW = 5
 
 
-class ReportInconsistencyError(AssertionError):
+class ReportInconsistencyError(AugqError, AssertionError):
     """An exact invariant failed while assembling a report (a bug)."""
+
+    prefix = "INTERNAL INVARIANT VIOLATION: "
 
 
 @dataclass
@@ -109,19 +111,8 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
     index on; otherwise it is None.
     """
     bound = d**r
-    primes = []
-    f = 2
-    dd = d
-    while f * f <= dd:
-        if dd % f == 0:
-            primes.append(f)
-            while dd % f == 0:
-                dd //= f
-        f += 1 if f == 2 else 2
-    if dd > 1:
-        primes.append(dd)
     table = {}
-    for p in primes:
+    for p in _factorint(d):
         s = 0
         power = 1
         while power <= bound:

@@ -266,6 +266,60 @@ def test_quotients_invariant_under_basis_change(family, spec):
         assert [q.group for q in quotient_sequence(rebased, 8)] == want
 
 
+def _first_nonassociative_triple(ring):
+    """First (i, j, k) in lexicographic order with (b_i b_j) b_k != b_i (b_j b_k),
+    by plain ``multiply`` calls."""
+    b = [ring.basis_vector(i) for i in range(ring.dim)]
+    for i in range(ring.dim):
+        for j in range(ring.dim):
+            bij = ring.multiply(b[i], b[j])
+            for k in range(ring.dim):
+                b_jk = ring.multiply(b[j], b[k])
+                if ring.multiply(bij, b[k]) != ring.multiply(b[i], b_jk):
+                    return i, j, k
+    return None
+
+
+def test_validate_associativity_on_perturbed_corpus_rings():
+    # one structure constant of a corpus ring shifted; half the time b_j b_i
+    # follows b_i b_j, otherwise the table stops being commutative
+    rng = random.Random(31)
+    specs = corpus_ring_specs()
+    broken = 0
+    for t in range(40):
+        ring = build_corpus_ring(*rng.choice(specs))
+        m = ring.dim
+        structure = {
+            (i, j): ring.basis_product(i, j) for i in range(m) for j in range(m)
+        }
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        structure[(i, j)][k] += rng.choice([-2, -1, 1, 2])
+        if t % 2:
+            structure[(j, i)] = structure[(i, j)]
+        ring = AugmentedRing(
+            ring.labels, structure, ring.augmentation, ring.identity_index
+        )
+        report = ring.validate()
+        triple = _first_nonassociative_triple(ring)
+        assert report.checks["associativity"] is (triple is None)
+        if triple is not None:
+            broken += 1
+            assert "associativity: (b{0}*b{1})*b{2} != b{0}*(b{1}*b{2})".format(
+                *triple
+            ) in report.failures
+    assert broken >= 30
+
+
+def test_quotient_group_matches_quotient_sequence_on_corpus():
+    for family, spec in corpus_ring_specs():
+        ring = build_corpus_ring(family, spec)
+        seq = quotient_sequence(ring, 3)
+        for n in (1, 2, 3):
+            assert ring.quotient_group(n) == seq[n - 1], (family, spec, n)
+        factors = seq[0].group.invariant_factors
+        assert ring.torsion_exponent() == (factors[-1] if factors else 1)
+
+
 # -- serialization -----------------------------------------------------------
 
 

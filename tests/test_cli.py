@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+import augq
+from augq import AugmentedRing, AugqError, ValidationReport, constructors, stabilize
+from augq import cli
 from augq.cli import main
+from augq.constructors import MarksMatrix
 from augq.stabilize import report_from_json
 
 
@@ -293,3 +297,155 @@ def test_qn_json_encodes_big_invariant_factors(capsys, tmp_path):
     quotients = json.loads(out)["quotients"]
     assert [q["group"] for q in quotients] == [[str(big)], [str(big)]]
     assert [q["order"] for q in quotients] == [str(big), str(big)]
+
+
+def test_out_flag_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "qn", "--ring", "C4", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"augq: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("value", ["null", "1.5", "true", '"x"'])
+def test_classify_rejects_non_integer_profile_values(capsys, value):
+    code, out, err = run(capsys, "classify", "--profile", '{"2,0": %s}' % value)
+    assert code == 2
+    assert out == ""
+    assert "'2,0'" in err and "must be an integer" in err
+
+
+def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "-5")
+    code, _, err = run(capsys, "qn", "--group", "S3", "--family", "burnside")
+    assert code == 2
+    assert "AUGQ_MAX_ORDER" in err
+
+
+def test_seed_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qn", "--ring", "C2", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+# -- one exit code per exception class ------------------------------------------
+
+
+def _raise_from_quotient_sequence(exc):
+    def setup(monkeypatch, tmp_path):
+        def fail(ring, max_n):
+            raise exc
+
+        monkeypatch.setattr(cli, "quotient_sequence", fail)
+        return ["qn", "--group", "C2"]
+
+    return setup
+
+
+def _parse_error(monkeypatch, tmp_path):
+    return ["qn", "--group", "C1"]
+
+
+def _ring_spec_error(monkeypatch, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"basis": ["1"]}')
+    return ["qn", "--ring", str(path)]
+
+
+def _cayley_table_error(monkeypatch, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [0, 1]]}))
+    return ["marks", "--group", str(path)]
+
+
+def _bad_parameter_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "abc")
+    return ["marks", "--group", "S3"]
+
+
+def _too_large_error(monkeypatch, tmp_path):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "4")
+    return ["marks", "--group", "D4"]
+
+
+def _non_integral_structure_error(monkeypatch, tmp_path):
+    real = constructors.table_of_marks
+
+    def lying_marks(g, classes=None, max_order=None):
+        # [C2/1]^2 then has mark vector (1, 4), which no integer solve reaches
+        return MarksMatrix([[2, 0], [1, 2]], real(g, classes, max_order).classes)
+
+    monkeypatch.setattr(constructors, "table_of_marks", lying_marks)
+    return ["qn", "--group", "C2", "--family", "burnside"]
+
+
+def _rank_drop_error(monkeypatch, tmp_path):
+    path = tmp_path / "dual.json"
+    write_dual_numbers(path)
+    monkeypatch.setattr(AugmentedRing, "validate", lambda self: ValidationReport({}))
+    return ["qn", "--ring", str(path)]
+
+
+def _inconsistent_profile_error(monkeypatch, tmp_path):
+    return ["classify", "--profile", '{"2,1": 1}']
+
+
+def _not_prime_error(monkeypatch, tmp_path):
+    return ["classify", "--profile", '{"4,0": 1}']
+
+
+def _report_inconsistency_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        stabilize, "verify_bound", lambda quotients, d, r: [False] * len(quotients)
+    )
+    return ["stabilize", "--group", "C2"]
+
+
+EXIT_CODE_CASES = {
+    "ParseError": (_parse_error, 2, "group spec: "),
+    "RingSpecError": (_ring_spec_error, 2, ""),
+    "CayleyTableError": (_cayley_table_error, 2, ""),
+    "BadParameterError": (_bad_parameter_error, 2, ""),
+    "DimensionMismatchError": (
+        _raise_from_quotient_sequence(augq.DimensionMismatchError("length 3")),
+        2,
+        "",
+    ),
+    "TooLargeError": (_too_large_error, 1, ""),
+    "NonIntegralStructureError": (_non_integral_structure_error, 1, ""),
+    "RankDropError": (_rank_drop_error, 1, ""),
+    "InconsistentProfileError": (_inconsistent_profile_error, 1, ""),
+    "NotPrimeError": (_not_prime_error, 1, ""),
+    "ReportInconsistencyError": (
+        _report_inconsistency_error,
+        1,
+        "INTERNAL INVARIANT VIOLATION: ",
+    ),
+    "NotASublatticeError": (
+        _raise_from_quotient_sequence(augq.NotASublatticeError("outside")),
+        1,
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODE_CASES))
+def test_exit_code_per_exception_class(capsys, monkeypatch, tmp_path, name):
+    setup, want, prefix = EXIT_CODE_CASES[name]
+    argv = setup(monkeypatch, tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == want == getattr(augq, name).exit_code
+    assert err.startswith("augq: " + prefix) and err.endswith("\n")
+
+
+def test_exported_exceptions_share_the_exit_code_map():
+    exported = {
+        name: getattr(augq, name)
+        for name in augq.__all__
+        if isinstance(getattr(augq, name), type)
+        and issubclass(getattr(augq, name), BaseException)
+    }
+    assert set(exported) == set(EXIT_CODE_CASES) | {"AugqError"}
+    for name, cls in exported.items():
+        assert issubclass(cls, AugqError), name
+        assert cls.exit_code in (1, 2), name
