@@ -10,6 +10,7 @@ pieces, multiplication by p^s, and the profile of valuations of all the
 p^s-multiples, together with its exact inverse.
 """
 
+import functools
 import random
 
 from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
@@ -51,22 +52,46 @@ class ParseError(AugqError, ValueError):
         self.position = position
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); past it no deterministic base set is known.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p):
+    """Deterministic primality test.
+
+    Raises BadParameterError for a p with no factor among the bases that is
+    at or above ``_MR_EXACT_BELOW``, where they no longer decide primality.
+    """
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_EXACT_BELOW:
+        raise BadParameterError(
+            f"cannot decide whether {p} is prime: primality is tested only "
+            f"below {_MR_EXACT_BELOW}"
+        )
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def _factorint(n):
+def _trial_division(n):
     """Prime factorization by trial division, as a dict prime -> exponent."""
     out = {}
     f = 2
@@ -78,6 +103,20 @@ def _factorint(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_items(n):
+    return tuple(_trial_division(n).items())
+
+
+def _factorint(n):
+    """Prime factorization as a fresh dict prime -> exponent, primes ascending.
+
+    The factorizations are memoized: a scan meets the same invariant
+    factors once per quotient, and trial division of a large one is slow.
+    """
+    return dict(_factor_items(n))
 
 
 class FinAbGroup:
@@ -138,6 +177,16 @@ class FinAbGroup:
         exps = self._primary.get(p)
         return sum(exps) if exps else 0
 
+    def p_power_valuation(self, p, s):
+        """Exponent of the prime p in |p^s G|, for a shift s >= 0.
+
+        Each cyclic piece of order p^e becomes one of order p^max(e-s, 0)
+        under multiplication by p^s, so the value is read off the primary
+        exponents without building p^s G.  It is 0 for any p that does not
+        divide |G|; p is not tested for primality.
+        """
+        return sum(e - s for e in self._primary.get(p, ()) if e > s)
+
     def sylow(self, p):
         """The p-part: the subgroup of elements of p-power order."""
         if not _is_prime(p):
@@ -170,14 +219,9 @@ class FinAbGroup:
     def valuation_profile(self):
         """Profile {(p, s): v_p(|p^s G|)} over all entries that are nonzero."""
         entries = {}
-        for p in self._primary:
-            s = 0
-            while True:
-                val = self.p_power_multiply(p, s).p_valuation(p)
-                if val == 0:
-                    break
-                entries[(p, s)] = val
-                s += 1
+        for p, exps in self._primary.items():
+            for s in range(exps[0]):
+                entries[(p, s)] = self.p_power_valuation(p, s)
         return ValuationProfile(entries)
 
     @classmethod

@@ -118,7 +118,14 @@ class AugmentedRing:
     the commutativity failure instead of masking it.
     """
 
-    __slots__ = ("labels", "dim", "augmentation", "identity_index", "_table")
+    __slots__ = (
+        "labels",
+        "dim",
+        "augmentation",
+        "identity_index",
+        "_table",
+        "_generators",
+    )
 
     def __init__(self, labels, structure, augmentation, identity_index):
         self.labels = tuple(str(x) for x in labels)
@@ -152,6 +159,8 @@ class AugmentedRing:
                 row.append(tuple((k, c) for k, c in enumerate(v) if c))
             table.append(row)
         self._table = table
+        # ideal_generators, computed on first use; the ring is not mutated
+        self._generators = None
 
     # -- products ---------------------------------------------------------
 
@@ -201,8 +210,12 @@ class AugmentedRing:
         """Check every ring axiom and report, without raising.
 
         Associativity is exhaustive over all m^3 basis triples, each side
-        expanded through the sparse product table; the torsion axiom asks
-        that I / I^2 be finite, i.e. that I^2 spans the same rank as I.
+        expanded through the sparse product table.  On a commutative table
+        the triples (i, j, k) and (k, j, i) compare the same two expansions,
+        so only k >= i is checked: the failing triples come in such pairs,
+        and the first of them in lexicographic order has i <= k.  The
+        torsion axiom asks that I / I^2 be finite, i.e. that I^2 spans the
+        same rank as I.
         """
         m = self.dim
         table = self._table
@@ -217,21 +230,25 @@ class AugmentedRing:
         lost_rank = ideal.rank - square.rank
         unit = f"augmentation: eps(identity) == {aug[e]}, want 1"
         torsion = f"torsion: I/I^2 has free rank {lost_rank}, so it is not finite"
+        asymmetric = [
+            (i, j)
+            for i in range(m)
+            for j in range(i + 1, m)
+            if table[i][j] != table[j][i]
+        ]
         # per check, its failure lines in counterexample order; the lazy
         # generators stop at the first one
         found = {
             "commutativity": (
                 f"commutativity: b{i}*b{j} != b{j}*b{i} ({labels[i]}, {labels[j]})"
-                for i in range(m)
-                for j in range(i + 1, m)
-                if table[i][j] != table[j][i]
+                for i, j in asymmetric
             ),
             # (b_i b_j) b_k against b_i (b_j b_k), both in the table's form
             "associativity": (
                 f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
                 for i, row_i in enumerate(table)
                 for j, pij in enumerate(row_i)
-                for k in range(m)
+                for k in range(0 if asymmetric else i, m)
                 if _expand(pij, columns[k]) != _expand(table[j][k], row_i)
             ),
             "identity": (
@@ -268,21 +285,24 @@ class AugmentedRing:
 
         The HNF rows of I are taken in order, skipping any row already in
         the span of b_i·g over the generators g picked so far.  The group
-        ring of C2xC2xC8 needs 3 of its 31 rows.
+        ring of C2xC2xC8 needs 3 of its 31 rows.  The closure runs once per
+        ring; every call returns a fresh list of fresh rows.
         """
-        m = self.dim
-        gens = []
-        closure = Lattice.zero(m)
-        for row in self.augmentation_ideal().basis.data:
-            if closure.contains(row):
-                continue
-            gens.append(row)
-            closure = lattice_from_generators(
-                m,
-                closure.basis.data
-                + [self.multiply(self.basis_vector(i), row) for i in range(m)],
-            )
-        return gens
+        if self._generators is None:
+            m = self.dim
+            gens = []
+            closure = Lattice.zero(m)
+            for row in self.augmentation_ideal().basis.data:
+                if closure.contains(row):
+                    continue
+                gens.append(tuple(row))
+                closure = lattice_from_generators(
+                    m,
+                    closure.basis.data
+                    + [self.multiply(self.basis_vector(i), row) for i in range(m)],
+                )
+            self._generators = tuple(gens)
+        return [list(g) for g in self._generators]
 
     def _products(self, gens, lattice):
         """Distinct products g·b of the generators with the basis rows,

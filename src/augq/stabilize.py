@@ -106,9 +106,10 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
 
     One row per prime p dividing d and shift s with p^s <= d^r (any other
     row is identically zero and omitted); each row is the sequence of
-    valuations v_p(|p^s Q_n|) for n = 1..N.  When ``tail_start`` is given,
-    the second return value flags whether each row is constant from that
-    index on; otherwise it is None.
+    valuations v_p(|p^s Q_n|) for n = 1..N, the sum of max(e - s, 0) over
+    the p-exponents e of Q_n.  When ``tail_start`` is given, the second
+    return value flags whether each row is constant from that index on;
+    otherwise it is None.
     """
     bound = d**r
     table = {}
@@ -116,10 +117,7 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
         s = 0
         power = 1
         while power <= bound:
-            row = tuple(
-                q.group.p_power_multiply(p, s).p_valuation(p) for q in quotients
-            )
-            table[(p, s)] = row
+            table[(p, s)] = tuple(q.group.p_power_valuation(p, s) for q in quotients)
             s += 1
             power *= p
     if tail_start is None:

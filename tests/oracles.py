@@ -165,6 +165,24 @@ def valuation_from_factors(factors, p, s):
     return sum(max(v_p(f, p) - s, 0) for f in factors)
 
 
+def valuation_by_multiplication(g, p, s):
+    """v_p(|p^s G|) by its definition: build p^s G, then read the p-part of
+    its order."""
+    return g.p_power_multiply(p, s).p_valuation(p)
+
+
+def is_prime_trial(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
 def dihedral_characters(m):
     """Irreducible characters of the order-2m dihedral group, numerically.
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from augq import abgroup
 from augq.abgroup import (
+    BadParameterError,
     FinAbGroup,
     InconsistentProfileError,
     NotPrimeError,
@@ -11,7 +13,7 @@ from augq.abgroup import (
     random_group,
     random_subgroup_quotient,
 )
-from oracles import valuation_from_factors
+from oracles import is_prime_trial, valuation_by_multiplication, valuation_from_factors
 
 
 def test_canonicalization():
@@ -171,3 +173,52 @@ def test_random_subgroup_quotient_orders_multiply():
         g = random_group(seed, max_rank=3, max_prime_power=32)
         h, q = random_subgroup_quotient(seed * 31 + 7, g)
         assert h.order() * q.order() == g.order()
+
+
+def test_p_power_valuation_matches_multiplication():
+    # shifts run past the largest exponent, where every value is 0
+    for seed in range(300):
+        g = random_group(seed)
+        for p in (2, 3, 5, 7, 11, 13, 31, 61):
+            for s in range(8):
+                assert g.p_power_valuation(p, s) == valuation_by_multiplication(g, p, s)
+
+
+def test_valuation_profile_matches_multiplication():
+    primes = [p for p in range(2, 65) if is_prime_trial(p)]
+    for seed in range(300):
+        g = random_group(seed)
+        want = {}
+        for p in primes:
+            for s in range(8):
+                val = valuation_by_multiplication(g, p, s)
+                if val:
+                    want[(p, s)] = val
+        assert dict(g.valuation_profile().items()) == want
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if abgroup._is_prime(n)] == [
+        n for n in range(200_000) if is_prime_trial(n)
+    ]
+
+
+def test_is_prime_large_values():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not abgroup._is_prime(3215031751)
+    assert not abgroup._is_prime(3825123056546413051)
+    assert abgroup._is_prime(2**61 - 1)
+    assert not abgroup._is_prime(2**64 + 1)
+    # past the bound below which the test is exact, a prime cannot be decided
+    # but a multiple of a small prime still can
+    big = 10**30 + 57
+    with pytest.raises(BadParameterError, match=str(big)):
+        abgroup._is_prime(big)
+    assert not abgroup._is_prime(10**30)
+
+
+def test_factorint_returns_fresh_dicts():
+    first = abgroup._factorint(720)
+    assert first == {2: 4, 3: 2, 5: 1}
+    first[7] = 1
+    assert abgroup._factorint(720) == {2: 4, 3: 2, 5: 1}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from augq import augring
 from augq.augring import (
     AugmentedRing,
     DimensionMismatchError,
@@ -11,7 +12,7 @@ from augq.augring import (
     encode_int,
 )
 from augq.abgroup import FinAbGroup
-from augq.constructors import group_ring
+from augq.constructors import group_ring, parse_group_spec
 from augq.intlinalg import lattice_from_generators
 from augq.stabilize import quotient_sequence
 from conftest import build_corpus_ring, corpus_ring_specs
@@ -211,6 +212,73 @@ def test_ideal_generators_close_to_the_ideal_on_corpus():
             [ring.multiply(ring.basis_vector(i), g) for g in gens for i in range(ring.dim)],
         )
         assert closure == ideal, (family, spec)
+
+
+def test_ideal_generators_are_fresh_lists():
+    ring = group_ring(FinAbGroup([2, 4]))
+    first = ring.ideal_generators()
+    second = ring.ideal_generators()
+    assert first == second
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    first[0][0] += 5
+    first.append([0] * ring.dim)
+    assert ring.ideal_generators() == second
+
+
+def test_ideal_generators_closure_runs_once(monkeypatch):
+    ring = group_ring(FinAbGroup([2, 4]))
+    want = ring.ideal_generators()
+    calls = []
+    monkeypatch.setattr(
+        augring, "lattice_from_generators", lambda *a, **k: calls.append(a)
+    )
+    assert ring.ideal_generators() == want
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "family,spec", [("group-ring", "C2xC4"), ("burnside", "S3"), ("rep", "D5")]
+)
+def test_validate_expands_half_the_triples_on_commutative_rings(
+    family, spec, monkeypatch
+):
+    ring = build_corpus_ring(family, spec)
+    calls = []
+    expand = augring._expand
+
+    def counting_expand(terms, products):
+        calls.append(None)
+        return expand(terms, products)
+
+    monkeypatch.setattr(augring, "_expand", counting_expand)
+    assert ring.validate().passed
+    m = ring.dim
+    assert len(calls) == m * m * (m + 1)
+
+
+def test_validate_expands_every_triple_on_a_noncommutative_ring(monkeypatch):
+    # the integral group ring of S3: associative, not commutative
+    table = parse_group_spec("S3").table
+    m = len(table)
+    structure = {
+        (i, j): [int(k == table[i][j]) for k in range(m)]
+        for i in range(m)
+        for j in range(m)
+    }
+    ring = AugmentedRing([f"g{i}" for i in range(m)], structure, [1] * m, 0)
+    calls = []
+    expand = augring._expand
+
+    def counting_expand(terms, products):
+        calls.append(None)
+        return expand(terms, products)
+
+    monkeypatch.setattr(augring, "_expand", counting_expand)
+    report = ring.validate()
+    assert not report.checks["commutativity"]
+    assert report.checks["associativity"]
+    assert len(calls) == 2 * m**3
 
 
 def test_chain_c2xc2xc8_to_twenty():

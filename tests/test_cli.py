@@ -115,6 +115,16 @@ def test_classify_inconsistent_profile(capsys):
     assert code == 1
 
 
+def test_classify_undecidable_prime_key(capsys):
+    # 10^30 + 57 is past the range where the primality test is exact
+    code, out, err = run(
+        capsys, "classify", "--profile", '{"1000000000000000000000000000057,0": 1}'
+    )
+    assert code == 2
+    assert out == ""
+    assert "1000000000000000000000000000057" in err
+
+
 def test_classify_malformed_json(capsys):
     code, _, _ = run(capsys, "classify", "--profile", "{not json")
     assert code == 2

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from augq import abgroup
 from augq.abgroup import FinAbGroup
 from augq.augring import AugmentedRing
 from augq.constructors import burnside_ring, cayley_from_abelian, group_ring
@@ -18,6 +19,8 @@ from augq.stabilize import (
     report_to_json,
     verify_bound,
 )
+from conftest import build_corpus_ring
+from oracles import valuation_by_multiplication
 
 
 def G(*orders):
@@ -68,6 +71,58 @@ def test_lambda_diagnostics_rows():
     assert flags[(2, 0)] is False
     table, flags = lambda_diagnostics(seq, 2, 3)
     assert flags is None
+
+
+@pytest.mark.parametrize(
+    "family,spec", [("group-ring", "C2xC4"), ("burnside", "C6"), ("rep", "D4")]
+)
+def test_lambda_diagnostics_rows_match_multiplication(family, spec, monkeypatch):
+    ring = build_corpus_ring(family, spec)
+    seq = quotient_sequence(ring, 8)
+    d, r = seq[0].group.invariant_factors[-1], ring.free_rank()
+    want = {}
+    for p in abgroup._factorint(d):
+        s = 0
+        while p**s <= d**r:
+            want[(p, s)] = tuple(
+                valuation_by_multiplication(q.group, p, s) for q in seq
+            )
+            s += 1
+    constructed = []
+    init = FinAbGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinAbGroup, "__init__", counting_init)
+    table, _ = lambda_diagnostics(seq, d, r)
+    assert constructed == []
+    assert table == want
+
+
+def test_build_report_factors_each_invariant_factor_once(monkeypatch):
+    # x*x = (2^64 + 1) x, so Q_n = Z/(2^64 + 1) for every n and d = 2^64 + 1
+    big = 2**64 + 1
+    ring = AugmentedRing(
+        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, big]}, [1, 0], 0
+    )
+    calls = []
+    trial = abgroup._trial_division
+
+    def counting_trial(n):
+        calls.append(n)
+        return trial(n)
+
+    monkeypatch.setattr(abgroup, "_trial_division", counting_trial)
+    abgroup._factor_items.cache_clear()
+    report = build_report(ring, "big", max_n=8)
+    assert [q.group for q in report.quotients] == [G(big)] * 8
+    assert set(report.lambda_table) == {
+        (274177, 0), (274177, 1), (274177, 2), (274177, 3),
+        (67280421310721, 0), (67280421310721, 1),
+    }
+    assert calls.count(big) == 1
 
 
 def test_build_report_zc2():
