@@ -12,6 +12,7 @@ p^s-multiples, together with its exact inverse.
 
 import functools
 import random
+from math import gcd
 
 from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
 
@@ -61,19 +62,14 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 def _is_prime(p):
     """Deterministic primality test.
 
-    Raises BadParameterError for a p with no factor among the bases that is
-    at or above ``_MR_EXACT_BELOW``, where they no longer decide primality.
+    Raises BadParameterError for a p at or above ``_MR_EXACT_BELOW`` that
+    every base passes: past that bound the bases no longer prove it prime.
     """
     if not isinstance(p, int) or p < 2:
         return False
     for b in _MR_BASES:
         if p % b == 0:
             return p == b
-    if p >= _MR_EXACT_BELOW:
-        raise BadParameterError(
-            f"cannot decide whether {p} is prime: primality is tested only "
-            f"below {_MR_EXACT_BELOW}"
-        )
     d, r = p - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -88,33 +84,83 @@ def _is_prime(p):
                 break
         else:
             return False
+    if p >= _MR_EXACT_BELOW:
+        raise BadParameterError(
+            f"cannot decide whether {p} is prime: primality is tested only "
+            f"below {_MR_EXACT_BELOW}"
+        )
     return True
 
 
+# Trial division strips the primes below _TRIAL_BOUND; the cofactor is split
+# by Pollard rho, which gives up after _RHO_MAX_STEPS steps, counted over all
+# its restarts.
+_TRIAL_BOUND = 100
+_RHO_MAX_STEPS = 1 << 20
+
+
 def _trial_division(n):
-    """Prime factorization by trial division, as a dict prime -> exponent."""
+    """Return (dict prime -> exponent, cofactor) for the primes below
+    ``_TRIAL_BOUND``; the cofactor is 1, a prime, or has no prime factor
+    below the bound."""
     out = {}
     f = 2
-    while f * f <= n:
+    while f < _TRIAL_BOUND and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return out, n
+
+
+def _rho_divisor(n):
+    """A proper divisor of the odd composite n (Pollard rho, Floyd cycles).
+
+    Raises BadParameterError when none turns up within _RHO_MAX_STEPS.
+    """
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        g = 1
+        while g == 1:
+            steps += 1
+            if steps > _RHO_MAX_STEPS:
+                raise BadParameterError(
+                    f"cannot factor {n}: Pollard rho found no divisor within "
+                    f"{_RHO_MAX_STEPS} steps"
+                )
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
+        if g != n:
+            return g
 
 
 @functools.lru_cache(maxsize=4096)
 def _factor_items(n):
-    return tuple(_trial_division(n).items())
+    out, m = _trial_division(n)
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_divisor(m)
+            pending += [f, m // f]
+    return tuple(sorted(out.items()))
 
 
 def _factorint(n):
     """Prime factorization as a fresh dict prime -> exponent, primes ascending.
 
-    The factorizations are memoized: a scan meets the same invariant
-    factors once per quotient, and trial division of a large one is slow.
+    Short trial division, then Pollard rho on the cofactor with
+    ``_is_prime`` deciding its pieces.  A piece that rho cannot split within
+    its step cap, or that ``_is_prime`` cannot decide, raises
+    BadParameterError naming it.  The factorizations are memoized: a scan
+    meets the same invariant factors once per quotient.
     """
     return dict(_factor_items(n))
 

@@ -37,10 +37,11 @@ from .stabilize import (
     DEFAULT_MAX_N,
     DEFAULT_MIN_WINDOW,
     build_report,
+    invariants_cell,
     quotient_sequence,
     quotient_to_dict,
     report_csv_rows,
-    report_to_dict,
+    report_to_json,
 )
 
 __all__ = ["main", "build_parser"]
@@ -247,10 +248,6 @@ def _format_csv(header, rows):
     return buf.getvalue()
 
 
-def _invariants_cell(group):
-    return "|".join(str(f) for f in group.invariant_factors)
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -305,13 +302,13 @@ def cmd_qn(args):
         )
     elif args.format == "csv":
         rows = [
-            [ring_id, str(q.n), _invariants_cell(q.group), str(q.order)]
+            [ring_id, str(q.n), invariants_cell(q.group), str(q.order)]
             for q in quotients
         ]
         text = _format_csv(["ring_id", "n", "invariants", "order"], rows)
     else:
         rows = [
-            [str(q.n), "[" + _invariants_cell(q.group).replace("|", ", ") + "]", str(q.order)]
+            [str(q.n), "[" + invariants_cell(q.group).replace("|", ", ") + "]", str(q.order)]
             for q in quotients
         ]
         text = f"ring: {ring_id}\n" + _format_table(["n", "invariants", "order"], rows)
@@ -326,7 +323,7 @@ def cmd_stabilize(args):
     _require_valid(ring_id, ring)
     report = build_report(ring, ring_id, max_n=args.max_n, min_window=args.window)
     if args.format == "json":
-        text = json.dumps(report_to_dict(report), indent=2)
+        text = report_to_json(report)
     elif args.format == "csv":
         text = _format_csv(CSV_HEADER, report_csv_rows(report))
     else:
@@ -347,7 +344,7 @@ def cmd_stabilize(args):
         rows = [
             [
                 str(q.n),
-                "[" + _invariants_cell(q.group).replace("|", ", ") + "]",
+                "[" + invariants_cell(q.group).replace("|", ", ") + "]",
                 str(q.order),
                 "yes" if ok else "NO",
             ]
@@ -507,7 +504,7 @@ def cmd_corpus(args):
                     row["n0_candidate"] = str(rep.n0_candidate)
                     row["window"] = str(rep.window)
                     tail_group = rep.quotients[-1].group
-                    row["tail"] = _invariants_cell(tail_group)
+                    row["tail"] = invariants_cell(tail_group)
         except AugqError as exc:
             row["status"] = "error"
             row["error"] = str(exc)

@@ -11,6 +11,12 @@ fixed once so that canonical equality does real work:
   and zeros trailing.  Unit entries stay in the matrix; they are stripped
   only when invariant factors are extracted.
 
+Witnesses come out of the same elimination as the normal forms: as in
+Cohen, GTM 138, §2.4, an identity block rides along as trailing entries:
+``hnf`` appends e_i to row i, ``kernel_basis`` appends e_j to column j,
+and ``snf`` eliminates inside the top-left block of [[A, I], [I, 0]].
+The transforms are then sliced out of the trailing rows and columns.
+
 Sizes are desk scale (dimensions up to about a hundred).  Plain echelon
 insertion can still grow intermediate coefficients far past the size of
 the canonical result, so ``lattice_from_generators`` also takes a modulus:
@@ -21,7 +27,6 @@ within [0, d].
 
 import bisect
 from dataclasses import dataclass
-from math import gcd
 
 __all__ = [
     "AugqError",
@@ -94,10 +99,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     def transpose(self):
         return IntMatrix(
@@ -200,27 +201,26 @@ class _Echelon:
 
     Rows are kept with strictly increasing pivot columns.  ``insert`` applies
     invertible integer row operations only, so the accumulated rows always
-    span exactly the lattice generated by everything inserted so far.  An
-    optional companion row is dragged through every operation; that is how
-    ``hnf`` obtains its unimodular transform and ``kernel_basis`` its kernel
-    vectors.
+    span exactly the lattice generated by everything inserted so far.
+
+    Pivots are sought only in the first ``ncols`` entries.  A row may be
+    longer: its trailing entries take part in every row operation without
+    ever holding a pivot.  That is how ``hnf`` carries its unimodular
+    transform and ``kernel_basis`` its kernel vectors.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = []
         self.rows = []
-        self.trows = []
 
-    def insert(self, row, trow=None):
+    def insert(self, row):
         """Reduce ``row`` against the basis, growing it when independent.
 
-        Returns ``(absorbed, companion)``: ``absorbed`` is True when the row
-        reduced to zero, in which case ``companion`` is its accumulated
-        companion row (None when untracked).
+        Returns the reduced row when its first ``ncols`` entries reduced to
+        zero (its trailing entries then record how), else None.
         """
         v = list(row)
-        tv = list(trow) if trow is not None else None
         n = self.ncols
         pivots = self.pivots
         rows = self.rows
@@ -229,7 +229,7 @@ class _Echelon:
             while c < n and not v[c]:
                 c += 1
             if c == n:
-                return True, tv
+                return v
             idx = bisect.bisect_left(pivots, c)
             if idx < len(pivots) and pivots[idx] == c:
                 h = rows[idx]
@@ -238,26 +238,17 @@ class _Echelon:
                 if b % a == 0:
                     q = b // a
                     v = [x - q * y for x, y in zip(v, h)]
-                    if tv is not None:
-                        th = self.trows[idx]
-                        tv = [x - q * y for x, y in zip(tv, th)]
                 else:
                     g, x, y = _xgcd(a, b)
                     af = a // g
                     bf = b // g
                     rows[idx] = [x * p + y * q2 for p, q2 in zip(h, v)]
                     v = [af * q2 - bf * p for p, q2 in zip(h, v)]
-                    if tv is not None:
-                        th = self.trows[idx]
-                        self.trows[idx] = [x * p + y * q2 for p, q2 in zip(th, tv)]
-                        tv = [af * q2 - bf * p for p, q2 in zip(th, tv)]
                 c += 1
             else:
                 pivots.insert(idx, c)
                 rows.insert(idx, v)
-                if tv is not None:
-                    self.trows.insert(idx, tv)
-                return False, None
+                return None
 
     def insert_mod(self, row, d):
         """Insert ``row`` keeping every entry right of a pivot in [0, d).
@@ -299,12 +290,9 @@ class _Echelon:
 
     def canonicalize(self):
         """Normalize in place: positive pivots, entries above reduced."""
-        track = bool(self.trows)
         for i, c in enumerate(self.pivots):
             if self.rows[i][c] < 0:
                 self.rows[i] = [-x for x in self.rows[i]]
-                if track:
-                    self.trows[i] = [-x for x in self.trows[i]]
         # Ascending pivot order keeps earlier reductions intact: reducing
         # against pivot j only touches columns >= pivot(j).
         for j in range(len(self.rows)):
@@ -315,11 +303,6 @@ class _Echelon:
                 q = self.rows[i][c] // p
                 if q:
                     self.rows[i] = [x - q * y for x, y in zip(self.rows[i], hj)]
-                    if track:
-                        tj = self.trows[j]
-                        self.trows[i] = [
-                            x - q * y for x, y in zip(self.trows[i], tj)
-                        ]
 
 
 class Lattice:
@@ -446,51 +429,49 @@ def hnf(m):
 
     Returns ``(h, u)`` where ``h`` is the canonical lattice spanned by the
     rows and ``u`` is unimodular with ``u @ m`` equal to the basis rows of
-    ``h`` followed by zero rows.
+    ``h`` followed by zero rows.  Row i goes in as ``m[i] + e_i``, so the
+    trailing ``m.nrows`` entries of every row end up as the rows of ``u``.
     """
-    ech = _Echelon(m.ncols)
-    zero_trows = []
-    for i in range(m.nrows):
-        trow = [0] * m.nrows
-        trow[i] = 1
-        absorbed, tv = ech.insert(m.data[i], trow)
-        if absorbed:
-            zero_trows.append(tv)
+    n = m.ncols
+    ech = _Echelon(n)
+    absorbed = []
+    for row, e in zip(m.data, IntMatrix.identity(m.nrows).data):
+        v = ech.insert(row + e)
+        if v is not None:
+            absorbed.append(v)
     ech.canonicalize()
-    h = Lattice(m.ncols, IntMatrix(ech.rows, ncols=m.ncols))
-    u = IntMatrix(list(ech.trows) + zero_trows, ncols=m.nrows)
+    h = Lattice(n, IntMatrix([r[:n] for r in ech.rows], ncols=n))
+    u = IntMatrix([r[n:] for r in ech.rows + absorbed], ncols=m.nrows)
     return h, u
 
 
 def kernel_basis(m):
     """Canonical basis of the integer kernel {x : m @ x^T == 0}.
 
-    The columns of ``m`` are fed through a tracked echelon; a companion row
-    that survives a column's collapse to zero is precisely an integer
-    dependency among the columns, i.e. a kernel vector.  The companions of a
-    unimodular tracking matrix span the whole kernel, not a finite-index
+    Column j goes through an echelon as ``col_j + e_j``.  A column that
+    reduces to zero leaves in its trailing entries an integer dependency
+    among the columns, i.e. a kernel vector.  The trailing block starts
+    unimodular, so these vectors span the whole kernel, not a finite-index
     piece of it.
     """
     ech = _Echelon(m.nrows)
     kern = _Echelon(m.ncols)
-    for j in range(m.ncols):
-        col = [m.data[i][j] for i in range(m.nrows)]
-        trow = [0] * m.ncols
-        trow[j] = 1
-        absorbed, tv = ech.insert(col, trow)
-        if absorbed:
-            kern.insert(tv)
+    for j, e in enumerate(IntMatrix.identity(m.ncols).data):
+        v = ech.insert([row[j] for row in m.data] + e)
+        if v is not None:
+            kern.insert(v[m.nrows:])
     kern.canonicalize()
     return Lattice(m.ncols, IntMatrix(kern.rows, ncols=m.ncols))
 
 
-def _snf_core(data, nrows, ncols, track):
-    a = [list(r) for r in data]
-    if track:
-        u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-        v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    else:
-        u = v = None
+def _snf_core(a, nrows, ncols):
+    """Diagonalize the top-left ``nrows`` x ``ncols`` block of ``a`` in place.
+
+    Pivots are chosen inside that block only.  Row operations act on the
+    first ``nrows`` rows across their whole length, and column operations on
+    the first ``ncols`` columns down every row of ``a``, so entries to the
+    right of the block and rows below it record the transforms.
+    """
     limit = min(nrows, ncols)
     t = 0
     while t < limit:
@@ -515,14 +496,9 @@ def _snf_core(data, nrows, ncols, track):
             break
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            if track:
-                u[t], u[bi] = u[bi], u[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            if track:
-                for row in v:
-                    row[t], row[bj] = row[bj], row[t]
         while True:
             for i in range(t + 1, nrows):
                 b = a[i][t]
@@ -532,8 +508,6 @@ def _snf_core(data, nrows, ncols, track):
                 if b % p == 0:
                     q = b // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if track:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 else:
                     g, x, y = _xgcd(p, b)
                     pf = p // g
@@ -541,10 +515,6 @@ def _snf_core(data, nrows, ncols, track):
                     rt, ri = a[t], a[i]
                     a[t] = [x * p2 + y * q2 for p2, q2 in zip(rt, ri)]
                     a[i] = [pf * q2 - bf * p2 for p2, q2 in zip(rt, ri)]
-                    if track:
-                        st, si = u[t], u[i]
-                        u[t] = [x * p2 + y * q2 for p2, q2 in zip(st, si)]
-                        u[i] = [pf * q2 - bf * p2 for p2, q2 in zip(st, si)]
             dirty = False
             for j in range(t + 1, ncols):
                 b = a[t][j]
@@ -553,25 +523,17 @@ def _snf_core(data, nrows, ncols, track):
                 p = a[t][t]
                 if b % p == 0:
                     q = b // p
-                    for i in range(t, nrows):
-                        if a[i][t]:
-                            a[i][j] -= q * a[i][t]
-                    if track:
-                        for row in v:
+                    for row in a[t:]:
+                        if row[t]:
                             row[j] -= q * row[t]
                 else:
                     g, x, y = _xgcd(p, b)
                     pf = p // g
                     bf = b // g
-                    for i in range(nrows):
-                        ci, cj = a[i][t], a[i][j]
-                        a[i][t] = x * ci + y * cj
-                        a[i][j] = pf * cj - bf * ci
-                    if track:
-                        for row in v:
-                            ci, cj = row[t], row[j]
-                            row[t] = x * ci + y * cj
-                            row[j] = pf * cj - bf * ci
+                    for row in a:
+                        ci, cj = row[t], row[j]
+                        row[t] = x * ci + y * cj
+                        row[j] = pf * cj - bf * ci
                     # the column mix can reintroduce entries below the pivot
                     dirty = True
             if not dirty:
@@ -581,54 +543,45 @@ def _snf_core(data, nrows, ncols, track):
     for i in range(nz):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            if track:
-                u[i] = [-x for x in u[i]]
-    # enforce the divisibility chain on the (all nonzero) leading diagonal
+    # enforce the divisibility chain on the (all nonzero) leading diagonal:
+    # add row j to row i, then a 2x2 unimodular column mix and one row
+    # reduction leave gcd(di, dj) at (i, i) and lcm(di, dj) at (j, j)
     for i in range(nz):
         for j in range(i + 1, nz):
             di = a[i][i]
             dj = a[j][j]
             if dj % di == 0:
                 continue
-            if not track:
-                g = gcd(di, dj)
-                a[i][i] = g
-                a[j][j] = di // g * dj
-                continue
             a[i] = [x + y for x, y in zip(a[i], a[j])]
-            u[i] = [x + y for x, y in zip(u[i], u[j])]
             g, x, y = _xgcd(di, dj)
             dif = di // g
             djf = dj // g
-            for rr in range(nrows):
-                ci, cj = a[rr][i], a[rr][j]
-                a[rr][i] = x * ci + y * cj
-                a[rr][j] = dif * cj - djf * ci
-            for row in v:
+            for row in a:
                 ci, cj = row[i], row[j]
                 row[i] = x * ci + y * cj
                 row[j] = dif * cj - djf * ci
             q = y * dj // g
             if q:
                 a[j] = [xx - q * yy for xx, yy in zip(a[j], a[i])]
-                u[j] = [xx - q * yy for xx, yy in zip(u[j], u[i])]
-    return a, u, v
 
 
 def snf(m):
     """Smith normal form: returns (s, u, v) with s == u @ m @ v diagonal,
-    nonnegative, divisibility-chained, zeros last; u and v unimodular."""
-    a, u, v = _snf_core(m.data, m.nrows, m.ncols, track=True)
+    nonnegative, divisibility-chained, zeros last; u and v unimodular.
+
+    The elimination runs on the block matrix [[m, I], [I, 0]]; afterwards
+    its top-left block is s, its top-right block u and its bottom-left
+    block v.
+    """
+    r, c = m.nrows, m.ncols
+    a = [row + e for row, e in zip(m.data, IntMatrix.identity(r).data)]
+    a += [e + [0] * r for e in IntMatrix.identity(c).data]
+    _snf_core(a, r, c)
     return (
-        IntMatrix(a, ncols=m.ncols),
-        IntMatrix(u, ncols=m.nrows),
-        IntMatrix(v, ncols=m.ncols),
+        IntMatrix([row[:c] for row in a[:r]], ncols=c),
+        IntMatrix([row[c:] for row in a[:r]], ncols=r),
+        IntMatrix([row[:c] for row in a[r:]], ncols=c),
     )
-
-
-def _snf_diagonal(rows, nrows, ncols):
-    a, _, _ = _snf_core(rows, nrows, ncols, track=False)
-    return [a[i][i] for i in range(min(nrows, ncols))]
 
 
 def quotient_invariants(sup, sub):
@@ -649,7 +602,8 @@ def quotient_invariants(sup, sub):
                 f"basis row {k} of the claimed sublattice is outside the enclosure"
             )
         coords.append(c)
-    diag = _snf_diagonal(coords, sub.rank, sup.rank)
+    _snf_core(coords, sub.rank, sup.rank)
+    diag = [coords[i][i] for i in range(min(sub.rank, sup.rank))]
     if any(d == 0 for d in diag):
         raise ArithmeticError("sublattice basis is not independent")
     return InvariantFactors(tuple(d for d in diag if d > 1), sup.rank - sub.rank)

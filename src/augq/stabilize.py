@@ -240,6 +240,11 @@ def report_from_json(text):
 CSV_HEADER = ["ring_id", "n", "invariants", "order", "bound_ok"]
 
 
+def invariants_cell(group):
+    """The invariant factors of ``group`` pipe-joined, as in every CSV."""
+    return "|".join(str(f) for f in group.invariant_factors)
+
+
 def report_csv_rows(report):
     """Flat per-n view; invariant factors pipe-joined, all numbers decimal."""
     rows = []
@@ -248,7 +253,7 @@ def report_csv_rows(report):
             [
                 report.ring_id,
                 str(q.n),
-                "|".join(str(f) for f in q.group.invariant_factors),
+                invariants_cell(q.group),
                 str(q.order),
                 "true" if ok else "false",
             ]

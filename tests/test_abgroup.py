@@ -215,6 +215,43 @@ def test_is_prime_large_values():
     with pytest.raises(BadParameterError, match=str(big)):
         abgroup._is_prime(big)
     assert not abgroup._is_prime(10**30)
+    # past the bound a base that proves compositeness still decides it
+    assert not abgroup._is_prime((2**61 - 1) * 10000019)
+
+
+def test_factorint_matches_trial_division():
+    # a factorization is right iff its primes multiply back to n
+    primes = {p for p in range(100_000) if is_prime_trial(p)}
+    for n in range(1, 100_000):
+        factors = abgroup._factorint(n)
+        assert list(factors) == sorted(factors)
+        assert set(factors) <= primes
+        prod = 1
+        for p, e in factors.items():
+            prod *= p**e
+        assert prod == n
+
+
+def test_factorint_splits_large_cofactors(monkeypatch):
+    assert abgroup._factorint((2**31 - 1) * (2**31 + 11)) == {
+        2**31 - 1: 1, 2**31 + 11: 1,
+    }
+    assert abgroup._factorint(2**64 + 1) == {274177: 1, 67280421310721: 1}
+    assert abgroup._factorint(12 * 10007**3 * 1000003) == {
+        2: 2, 3: 1, 10007: 3, 1000003: 1,
+    }
+    # past the bound where Miller-Rabin is exact, composites are still split
+    assert abgroup._factorint(101**13) == {101: 13}
+    assert abgroup._factorint(10007**7) == {10007: 7}
+    assert abgroup._factorint((2**61 - 1) * 10000019) == {
+        10000019: 1, 2**61 - 1: 1,
+    }
+    # past the step cap rho gives up, naming the number it could not split
+    monkeypatch.setattr(abgroup, "_RHO_MAX_STEPS", 64)
+    abgroup._factor_items.cache_clear()
+    n = 1000003 * 1000033
+    with pytest.raises(BadParameterError, match=f"cannot factor {n}"):
+        abgroup._factorint(3 * n)
 
 
 def test_factorint_returns_fresh_dicts():

@@ -309,6 +309,38 @@ def test_qn_json_encodes_big_invariant_factors(capsys, tmp_path):
     assert [q["order"] for q in quotients] == [str(big), str(big)]
 
 
+def test_qn_factors_a_semiprime_invariant_factor(capsys, tmp_path):
+    # x*x = N x with N a product of two primes near 2^31: Q_1 = Z/N
+    big = (2**31 - 1) * (2**31 + 11)
+    spec = {
+        "basis": ["1", "x"],
+        "identity": 0,
+        "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, big]],
+        "augmentation": [1, 0],
+    }
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "qn", "--ring", str(path), "--max-n", "1")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", "[4611686039902224373]", str(big)]
+
+
+def test_qn_factors_a_large_prime_power_invariant_factor(capsys, tmp_path):
+    # x*x = 101^13 x: Q_1 = Z/101^13, past the bound where Miller-Rabin is exact
+    big = 101**13
+    spec = {
+        "basis": ["1", "x"],
+        "identity": 0,
+        "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, big]],
+        "augmentation": [1, 0],
+    }
+    path = tmp_path / "prime_power.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "qn", "--ring", str(path), "--max-n", "1")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", f"[{big}]", str(big)]
+
+
 def test_out_flag_unwritable_path(capsys, tmp_path):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "qn", "--ring", "C4", "--out", str(target))

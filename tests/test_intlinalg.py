@@ -22,6 +22,19 @@ from oracles import (
 )
 
 
+# shapes the random witness tests never draw: no rows, no columns, all
+# zeros, rank below both dimensions
+EDGE_MATRICES = [
+    IntMatrix([], ncols=0),
+    IntMatrix([], ncols=3),
+    IntMatrix([[], []]),
+    IntMatrix([[0, 0, 0], [0, 0, 0]]),
+    IntMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 0]]),
+    IntMatrix([[2, 4], [3, 6], [5, 10]]),
+    IntMatrix([[0, 6, 4], [0, 9, 6]]),
+]
+
+
 def test_intmatrix_shape_checks():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
@@ -86,11 +99,14 @@ def test_hnf_frozen_examples():
 
 def test_hnf_transform_is_unimodular_witness():
     rng = random.Random(22)
+    cases = []
     for _ in range(40):
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
-        m = IntMatrix([[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)])
+        cases.append(IntMatrix([[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]))
+    for m in cases + EDGE_MATRICES:
         h, u = hnf(m)
+        assert (u.nrows, u.ncols) == (m.nrows, m.nrows)
         prod = (u @ m).tolist()
         assert prod[: h.rank] == h.basis.tolist()
         assert all(all(x == 0 for x in row) for row in prod[h.rank :])
@@ -163,10 +179,13 @@ def test_kernel_is_saturated():
     # the kernel lattice must contain every integer solution, so a primitive
     # solution vector has to lie inside it
     rng = random.Random(25)
+    cases = []
     for _ in range(40):
         nr = rng.randrange(1, 4)
         nc = rng.randrange(1, 5)
-        m = IntMatrix([[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
+        cases.append(IntMatrix([[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]))
+    for m in cases + EDGE_MATRICES:
+        nr, nc = m.nrows, m.ncols
         k = kernel_basis(m)
         for row in k.basis.data:
             assert all(sum(m.data[i][j] * row[j] for j in range(nc)) == 0 for i in range(nr))
@@ -191,11 +210,15 @@ def test_snf_frozen_examples():
 
 def test_snf_witness_identity():
     rng = random.Random(26)
+    cases = []
     for _ in range(80):
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+        cases.append(IntMatrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]))
+    for m in cases + EDGE_MATRICES:
+        nr, nc = m.nrows, m.ncols
         s, u, v = snf(m)
+        assert (s.nrows, s.ncols, u.ncols, v.nrows) == (nr, nc, nr, nc)
         assert (u @ m @ v).tolist() == s.tolist()
         assert u.det() in (1, -1)
         assert v.det() in (1, -1)
