@@ -8,9 +8,12 @@ homomorphism.  Its kernel I and the chain I >= I^2 >= ... are plain
 integer lattices, so every quotient I^n / I^{n+1} is computed exactly.
 
 The chain is built from a few ideal generators g of I, since
-I^{n+1} = sum_g g·I^n, and past I^2 every step works modulo the exponent d
-of I/I^2: d·I^n lies in I^{n+1}, so I^{n+1} in I^n-coordinates contains
-d·Z^r and its basis has entries below d.
+I^{n+1} = sum_g g·I^n.  Past I^2 it never leaves I^n-coordinates: each g
+acts on I^n by an r x r integer matrix, the step lattice C_n spanned by the
+rows of those matrices is I^{n+1} written in I^n-coordinates, and it
+contains d·Z^r for d the exponent of I/I^2, since d·I^n lies in I^{n+1}.
+So C_n is computed modulo d, Z^r / C_n is I^n / I^{n+1}, and changing
+basis by C_n carries the matrices up to I^{n+1}.
 """
 
 from dataclasses import dataclass, field
@@ -64,6 +67,40 @@ def _expand(terms, products):
         for k, x in products[t]:
             out[k] = out.get(k, 0) + c * x
     return tuple(sorted((k, x) for k, x in out.items() if x))
+
+
+def _times(step, rows):
+    """The rows of C·R, for C given by the (k, c) pairs of each row's
+    nonzero entries; a row e_k of C picks row k of R itself."""
+    out = []
+    for terms in step:
+        k, c = terms[0]
+        acc = rows[k] if c == 1 else [c * x for x in rows[k]]
+        for k, c in terms[1:]:
+            acc = [a + c * x for a, x in zip(acc, rows[k])]
+        out.append(acc)
+    return out
+
+
+def _solve_upper(step, row):
+    """The integer y with y·C = row, for C upper triangular with nonzero
+    diagonal, given as in ``_times``; None when a division is not exact.
+    Going down the columns, y_j is forced by column j, and then y_j times
+    row j of C is taken off the rest."""
+    y = list(row)
+    for j, terms in enumerate(step):
+        q = y[j]
+        if not q:
+            continue
+        p = terms[0][1]
+        if p != 1:
+            q, rem = divmod(q, p)
+            if rem:
+                return None
+            y[j] = q
+        for k, c in terms[1:]:
+            y[k] -= q * c
+    return y
 
 
 class DimensionMismatchError(AugqError, ValueError):
@@ -124,7 +161,7 @@ class AugmentedRing:
         "augmentation",
         "identity_index",
         "_table",
-        "_generators",
+        "_start",
     )
 
     def __init__(self, labels, structure, augmentation, identity_index):
@@ -159,8 +196,8 @@ class AugmentedRing:
                 row.append(tuple((k, c) for k, c in enumerate(v) if c))
             table.append(row)
         self._table = table
-        # ideal_generators, computed on first use; the ring is not mutated
-        self._generators = None
+        # (I, its ideal generators, I^2), built on first use by _chain_start
+        self._start = None
 
     # -- products ---------------------------------------------------------
 
@@ -213,20 +250,17 @@ class AugmentedRing:
         expanded through the sparse product table.  On a commutative table
         the triples (i, j, k) and (k, j, i) compare the same two expansions,
         so only k >= i is checked: the failing triples come in such pairs,
-        and the first of them in lexicographic order has i <= k.  The
-        torsion axiom asks that I / I^2 be finite, i.e. that I^2 spans the
-        same rank as I.
+        and the first of them in lexicographic order has i <= k.  There
+        both sides are products (b_a b_b) b_c, and each is expanded once
+        per sorted pair (a, b) and c.  The torsion axiom asks that I / I^2
+        be finite, i.e. that I^2 spans the same rank as I.
         """
         m = self.dim
         table = self._table
-        columns = list(zip(*table))
         labels = self.labels
         aug = self.augmentation
         e = self.identity_index
-        ideal = self.augmentation_ideal()
-        square = lattice_from_generators(
-            m, self._products(self.ideal_generators(), ideal)
-        )
+        ideal, _, square = self._chain_start()
         lost_rank = ideal.rank - square.rank
         unit = f"augmentation: eps(identity) == {aug[e]}, want 1"
         torsion = f"torsion: I/I^2 has free rank {lost_rank}, so it is not finite"
@@ -236,6 +270,35 @@ class AugmentedRing:
             for j in range(i + 1, m)
             if table[i][j] != table[j][i]
         ]
+        if asymmetric:
+            columns = list(zip(*table))
+            # (b_i b_j) b_k against b_i (b_j b_k), both in the table's form
+            associativity = (
+                f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
+                for i, row_i in enumerate(table)
+                for j, pij in enumerate(row_i)
+                for k in range(m)
+                if _expand(pij, columns[k]) != _expand(table[j][k], row_i)
+            )
+        else:
+            # b_i (b_j b_k) = (b_j b_k) b_i on a commutative table
+            expanded = [[None] * m for _ in range(m)]
+
+            def times(a, b):
+                out = expanded[a][b]
+                if out is None:
+                    out = [_expand(table[a][b], row) for row in table]
+                    expanded[a][b] = expanded[b][a] = out
+                return out
+
+            associativity = (
+                f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
+                for i in range(m)
+                for j in range(m)
+                for lhs in [times(i, j)]
+                for k in range(i, m)
+                if lhs[k] != times(j, k)[i]
+            )
         # per check, its failure lines in counterexample order; the lazy
         # generators stop at the first one
         found = {
@@ -243,14 +306,7 @@ class AugmentedRing:
                 f"commutativity: b{i}*b{j} != b{j}*b{i} ({labels[i]}, {labels[j]})"
                 for i, j in asymmetric
             ),
-            # (b_i b_j) b_k against b_i (b_j b_k), both in the table's form
-            "associativity": (
-                f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
-                for i, row_i in enumerate(table)
-                for j, pij in enumerate(row_i)
-                for k in range(0 if asymmetric else i, m)
-                if _expand(pij, columns[k]) != _expand(table[j][k], row_i)
-            ),
+            "associativity": associativity,
             "identity": (
                 f"identity: b{e} does not fix b{j}"
                 for j in range(m)
@@ -288,11 +344,18 @@ class AugmentedRing:
         ring of C2xC2xC8 needs 3 of its 31 rows.  The closure runs once per
         ring; every call returns a fresh list of fresh rows.
         """
-        if self._generators is None:
+        return [list(g) for g in self._chain_start()[1]]
+
+    def _chain_start(self):
+        """(I, its ideal generators, I^2), built once per ring and shared by
+        ``validate`` and ``ideal_powers``.  I^2 is spanned by the distinct
+        products g·b of the generators with the basis rows of I."""
+        if self._start is None:
             m = self.dim
+            ideal = self.augmentation_ideal()
             gens = []
             closure = Lattice.zero(m)
-            for row in self.augmentation_ideal().basis.data:
+            for row in ideal.basis.data:
                 if closure.contains(row):
                     continue
                 gens.append(tuple(row))
@@ -301,28 +364,31 @@ class AugmentedRing:
                     closure.basis.data
                     + [self.multiply(self.basis_vector(i), row) for i in range(m)],
                 )
-            self._generators = tuple(gens)
-        return [list(g) for g in self._generators]
+            products = {
+                tuple(self.multiply(g, b)): None for g in gens for b in ideal.basis.data
+            }
+            square = lattice_from_generators(m, list(products))
+            self._start = (ideal, tuple(gens), square)
+        return self._start
 
-    def _products(self, gens, lattice):
-        """Distinct products g·b of the generators with the basis rows,
-        in first-seen order."""
-        out = {}
-        for g in gens:
-            for b in lattice.basis.data:
-                out[tuple(self.multiply(g, b))] = None
-        return list(out)
-
-    def ideal_powers(self, max_n):
+    def ideal_powers(self, max_n, steps=None):
         """Lattices for I^1, I^2, ..., I^{max_n+1}, in that order.
 
-        I^{n+1} is spanned by the products g·b of the ideal generators g
-        with a basis B_n of I^n.  I^2 is computed exactly and gives d, the
-        exponent of I/I^2.  Each later step writes the products in
-        I^n-coordinates and takes the lattice C they span together with
-        d·Z^r, which lies inside because d·I^n ⊆ I^{n+1}; the rows of C·B_n
-        then span I^{n+1}.  That lemma needs the ring axioms, so the ring
-        should have passed ``validate``.
+        I^2 is spanned by the products g·b of the ideal generators g with
+        the basis of I, and gives d, the exponent of I/I^2.  Past it no ring
+        product is taken: g acts on a working basis E_n of I^n (E_2 the
+        basis of I^2) by the r x r matrix M_g of the coordinates of g·E_n,
+        built once.  The rows of all M_g together with d·Z^r, which lies
+        inside because d·I^n ⊆ I^{n+1}, span the step lattice C_n: I^{n+1}
+        in E_n-coordinates, computed modulo d.  Then E_{n+1} = C_n·E_n,
+        whose canonical HNF is the returned I^{n+1}, and M_g becomes
+        C_n·M_g·C_n^-1 by back-substitution.  The lemma needs the ring
+        axioms, so the ring should have passed ``validate``; a product or a
+        back-substitution that leaves the lattice raises
+        NotASublatticeError.
+
+        When ``steps`` is a list, C_2 .. C_{max_n} are appended to it;
+        Z^r / C_n is isomorphic to I^n / I^{n+1}.
 
         Raises RankDropError when I^2 spans less than I does; the
         consecutive quotients are then not finite and the chain is no
@@ -330,9 +396,7 @@ class AugmentedRing:
         """
         if not isinstance(max_n, int) or max_n < 1:
             raise ValueError("max_n must be a positive integer")
-        ideal = self.augmentation_ideal()
-        gens = self.ideal_generators()
-        square = lattice_from_generators(self.dim, self._products(gens, ideal))
+        ideal, gens, square = self._chain_start()
         if square.rank < ideal.rank:
             raise RankDropError(
                 f"rank of I^2 dropped to {square.rank} "
@@ -340,25 +404,40 @@ class AugmentedRing:
             )
         factors = quotient_invariants(ideal, square).factors
         d = factors[-1] if factors else 1
+        r = ideal.rank
         powers = [ideal, square]
+        if steps is None:
+            steps = []
+        basis = square.basis.data
+        ops = step = None
         for n in range(2, max_n + 1):
-            prev = powers[-1]
-            if prev == powers[-2]:
+            if powers[-1] == powers[-2]:
                 # the chain went stationary; no new spans can appear
-                powers.append(prev)
+                powers.append(powers[-1])
+                steps.append(Lattice.standard(r))
                 continue
-            coords = []
-            for p in self._products(gens, prev):
-                c = prev.coordinates(p)
-                if c is None:
-                    raise NotASublatticeError(
-                        f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"
-                    )
-                coords.append(c)
-            step = lattice_from_generators(prev.rank, coords, modulus=d)
-            powers.append(
-                lattice_from_generators(self.dim, (step.basis @ prev.basis).data)
-            )
+            if ops is None:
+                ops = [
+                    [square.coordinates(self.multiply(g, b)) for b in basis]
+                    for g in gens
+                ]
+            else:
+                ops = [
+                    [_solve_upper(step, row) for row in _times(step, op)]
+                    for op in ops
+                ]
+            if any(None in op for op in ops):
+                raise NotASublatticeError(
+                    f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"
+                )
+            rows = {tuple(row): None for op in ops for row in op}
+            lattice = lattice_from_generators(r, list(rows), modulus=d)
+            steps.append(lattice)
+            step = [
+                [(k, x) for k, x in enumerate(row) if x] for row in lattice.basis.data
+            ]
+            basis = _times(step, basis)
+            powers.append(lattice_from_generators(self.dim, basis))
         return powers
 
     def quotient_group(self, n):

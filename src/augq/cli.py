@@ -165,7 +165,7 @@ def _load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: malformed JSON: {exc}", 2)
@@ -446,7 +446,7 @@ def _corpus_entries(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
     base = os.path.dirname(os.path.abspath(path))
     entries = []

@@ -52,7 +52,7 @@ class CayleyTableError(AugqError, ValueError):
 
 
 class TooLargeError(AugqError, ValueError):
-    """Group order exceeds the subgroup-enumeration guard."""
+    """Group order exceeds the order guard (AUGQ_MAX_ORDER)."""
 
 
 class NonIntegralStructureError(AugqError, ArithmeticError):
@@ -127,6 +127,7 @@ class CayleyGroup:
             raise CayleyTableError(f"Cayley spec is missing {exc.args[0]!r}")
         if not isinstance(order, int) or order < 1:
             raise CayleyTableError("'order' must be a positive integer")
+        _check_order(order)
         if not isinstance(table, list) or len(table) != order:
             raise CayleyTableError("'table' must be an order x order array")
         return cls(table, name=name)
@@ -138,9 +139,36 @@ class CayleyGroup:
         return f"CayleyGroup(order={self.order}, name={self.name!r})"
 
 
+def _check_order(order, max_order=None):
+    """Raise TooLargeError when a group of this order is past the guard.
+
+    The guard is ``max_order`` if given, else the environment variable
+    AUGQ_MAX_ORDER, default 64.  Every constructor checks the order before
+    it lists elements or builds a table: tables grow as the square of the
+    order and subgroup enumeration can grow exponentially, and this is a
+    desk-scale tool.
+    """
+    if max_order is None:
+        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+        try:
+            max_order = int(raw)
+        except ValueError:
+            raise BadParameterError(
+                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
+            ) from None
+        if max_order < 1:
+            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
+    if order > max_order:
+        raise TooLargeError(
+            f"group order {order} exceeds the order guard {max_order} "
+            "(AUGQ_MAX_ORDER)"
+        )
+
+
 def _residue_addition(g):
     """The residue tuples of g's invariant factors, zero first, and the
     table of their indices under componentwise addition."""
+    _check_order(g.order())
     factors = g.invariant_factors
     elements = list(itertools.product(*[range(f) for f in factors]))
     index = {e: i for i, e in enumerate(elements)}
@@ -161,6 +189,7 @@ def dihedral_group(m):
     if not isinstance(m, int) or m < 1:
         raise BadParameterError("dihedral parameter must be a positive integer")
     n = 2 * m
+    _check_order(n)
 
     def idx(t, e):
         return e * m + t % m
@@ -181,6 +210,7 @@ def symmetric_group(n):
     if not isinstance(n, int) or not 1 <= n <= 4:
         raise BadParameterError("symmetric groups are provided for n <= 4 only")
     perms = sorted(itertools.permutations(range(n)))
+    _check_order(len(perms))
     index = {p: i for i, p in enumerate(perms)}
     table = [
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
@@ -235,24 +265,10 @@ def enumerate_subgroups(g, max_order=None):
 
     Every subgroup is the join of its cyclic subgroups, so the closure that
     repeatedly joins known subgroups with cyclic ones reaches the full
-    subgroup lattice.  Guarded by ``max_order`` (env AUGQ_MAX_ORDER,
-    default 64): enumeration is exponential in the worst case and this is a
-    desk-scale tool.
+    subgroup lattice.  Refused past ``max_order`` (else AUGQ_MAX_ORDER,
+    default 64), like every constructor here.
     """
-    if max_order is None:
-        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-        try:
-            max_order = int(raw)
-        except ValueError:
-            raise BadParameterError(
-                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
-            ) from None
-        if max_order < 1:
-            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
-    if g.order > max_order:
-        raise TooLargeError(
-            f"group order {g.order} exceeds the enumeration guard {max_order}"
-        )
+    _check_order(g.order, max_order)
     cyclic = {_close_subset(g, (x,)) for x in range(g.order)}
     subgroups = set(cyclic)
     work = list(subgroups)
@@ -417,6 +433,7 @@ def rep_ring_dihedral(m):
     """
     if not isinstance(m, int) or m < 3:
         raise BadParameterError("dihedral representation rings need m >= 3")
+    _check_order(2 * m)
     even = m % 2 == 0
     nlin = 4 if even else 2
     nv = (m - 1) // 2 if not even else m // 2 - 1

@@ -38,6 +38,7 @@ __all__ = [
     "kernel_basis",
     "lattice_from_generators",
     "quotient_invariants",
+    "smith_invariants",
     "snf",
 ]
 
@@ -588,9 +589,8 @@ def quotient_invariants(sup, sub):
     """Invariant factors of the abelian group sup/sub.
 
     Each basis row of ``sub`` is written in the coordinates of ``sup`` (a
-    NotASublatticeError if any row falls outside); the SNF diagonal of that
-    coefficient matrix gives the torsion, and the rank gap gives the free
-    part.
+    NotASublatticeError if any row falls outside), and ``smith_invariants``
+    reads the group off that coefficient matrix.
     """
     if sup.ambient_dim != sub.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -602,8 +602,18 @@ def quotient_invariants(sup, sub):
                 f"basis row {k} of the claimed sublattice is outside the enclosure"
             )
         coords.append(c)
-    _snf_core(coords, sub.rank, sup.rank)
-    diag = [coords[i][i] for i in range(min(sub.rank, sup.rank))]
+    return smith_invariants(coords, sup.rank)
+
+
+def smith_invariants(rows, ncols):
+    """Invariant factors of Z^ncols modulo the span of ``rows``.
+
+    The rows must be independent; the SNF diagonal of the matrix they form
+    gives the torsion, and ncols minus their number the free rank.
+    """
+    a = [list(row) for row in rows]
+    _snf_core(a, len(a), ncols)
+    diag = [a[i][i] for i in range(min(len(a), ncols))]
     if any(d == 0 for d in diag):
         raise ArithmeticError("sublattice basis is not independent")
-    return InvariantFactors(tuple(d for d in diag if d > 1), sup.rank - sub.rank)
+    return InvariantFactors(tuple(d for d in diag if d > 1), ncols - len(a))

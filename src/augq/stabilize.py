@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .abgroup import FinAbGroup, _factorint
 from .augring import QuotientResult, decode_int, encode_int
-from .intlinalg import AugqError, quotient_invariants
+from .intlinalg import AugqError, quotient_invariants, smith_invariants
 
 __all__ = [
     "ReportInconsistencyError",
@@ -61,11 +61,17 @@ class StabilizationReport:
 
 
 def quotient_sequence(ring, max_n=DEFAULT_MAX_N):
-    """Q_1 .. Q_{max_n} from a single ideal-power run."""
-    powers = ring.ideal_powers(max_n)
+    """Q_1 .. Q_{max_n} from a single ideal-power run.
+
+    Q_1 is I/I^2; every later Q_n is read off the step lattice C_n of the
+    run, which is I^{n+1} in coordinates of a basis of I^n.
+    """
+    steps = []
+    powers = ring.ideal_powers(max_n, steps=steps)
+    invariants = [quotient_invariants(powers[0], powers[1])]
+    invariants += [smith_invariants(step.basis.data, step.rank) for step in steps]
     out = []
-    for n in range(1, max_n + 1):
-        inv = quotient_invariants(powers[n - 1], powers[n])
+    for n, inv in enumerate(invariants, 1):
         group = FinAbGroup(inv.factors)
         out.append(
             QuotientResult(
@@ -112,12 +118,16 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
     otherwise it is None.
     """
     bound = d**r
+    # each valuation is evaluated once per distinct group
+    position = {}
+    where = [position.setdefault(q.group, len(position)) for q in quotients]
     table = {}
     for p in _factorint(d):
         s = 0
         power = 1
         while power <= bound:
-            table[(p, s)] = tuple(q.group.p_power_valuation(p, s) for q in quotients)
+            values = [g.p_power_valuation(p, s) for g in position]
+            table[(p, s)] = tuple([values[i] for i in where])
             s += 1
             power *= p
     if tail_start is None:

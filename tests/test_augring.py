@@ -13,10 +13,15 @@ from augq.augring import (
 )
 from augq.abgroup import FinAbGroup
 from augq.constructors import group_ring, parse_group_spec
-from augq.intlinalg import lattice_from_generators
-from augq.stabilize import quotient_sequence
+from augq.intlinalg import (
+    NotASublatticeError,
+    lattice_from_generators,
+    quotient_invariants,
+    smith_invariants,
+)
+from augq.stabilize import build_report, quotient_sequence
 from conftest import build_corpus_ring, corpus_ring_specs
-from oracles import det_laplace, random_unimodular, solve_exact
+from oracles import det_laplace, hnf_oracle, random_unimodular, solve_exact
 
 
 def zc2():
@@ -254,7 +259,8 @@ def test_validate_expands_half_the_triples_on_commutative_rings(
     monkeypatch.setattr(augring, "_expand", counting_expand)
     assert ring.validate().passed
     m = ring.dim
-    assert len(calls) == m * m * (m + 1)
+    # one expansion of (b_a b_b) b_c per sorted pair (a, b) and each c
+    assert len(calls) == m * m * (m + 1) // 2
 
 
 def test_validate_expands_every_triple_on_a_noncommutative_ring(monkeypatch):
@@ -332,6 +338,97 @@ def test_quotients_invariant_under_basis_change(family, spec):
         rebased = _rebased(ring, rng)
         assert rebased.validate().passed
         assert [q.group for q in quotient_sequence(rebased, 8)] == want
+
+
+def _assert_chain_matches_oracle(ring, max_n):
+    """Every I^{n+1} from ``ideal_powers`` is the oracle HNF of the r^2
+    products of the basis of I with the basis of I^n, and every step lattice
+    gives the same group as ``quotient_invariants(I^n, I^{n+1})``."""
+    steps = []
+    powers = ring.ideal_powers(max_n, steps=steps)
+    assert len(powers) == max_n + 1 and len(steps) == max_n - 1
+    ideal = powers[0].basis.data
+    for n in range(1, max_n + 1):
+        products = {
+            tuple(ring.multiply(a, b)) for a in ideal for b in powers[n - 1].basis.data
+        }
+        assert powers[n].basis.data == hnf_oracle(sorted(products)), n
+    for n, step in enumerate(steps, 2):
+        assert step.ambient_dim == step.rank == ring.free_rank()
+        want = quotient_invariants(powers[n - 1], powers[n])
+        assert smith_invariants(step.basis.data, step.rank) == want, n
+
+
+def test_ideal_powers_match_the_product_oracle_on_corpus():
+    for family, spec in corpus_ring_specs():
+        _assert_chain_matches_oracle(build_corpus_ring(family, spec), 8)
+
+
+REBASED_RINGS = [
+    ("group-ring", "C2xC4"),
+    ("group-ring", "C3xC3"),
+    ("burnside", "D4"),
+    ("rep", "D6"),
+]
+
+
+@pytest.mark.parametrize("family,spec", REBASED_RINGS)
+def test_ideal_powers_match_the_product_oracle_on_rebased_rings(family, spec):
+    ring = build_corpus_ring(family, spec)
+    rng = random.Random(f"oracle {family}:{spec}")
+    for _ in range(2):
+        _assert_chain_matches_oracle(_rebased(ring, rng), 8)
+
+
+def test_ideal_powers_match_the_product_oracle_on_c2xc2xc8():
+    _assert_chain_matches_oracle(group_ring(FinAbGroup([2, 2, 8])), 10)
+
+
+def test_ideal_powers_steps_on_a_stationary_chain():
+    # x*x = x: I = I^2, so every step lattice is all of Z^r
+    ring = AugmentedRing(
+        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, 1]}, [1, 0], 0
+    )
+    steps = []
+    powers = ring.ideal_powers(4, steps=steps)
+    assert len(set(powers)) == 1
+    assert [s.basis.data for s in steps] == [[[1]]] * 3
+
+
+def test_ideal_powers_rejects_a_step_not_closed_under_the_generators(monkeypatch):
+    # shrinking each step lattice by 3 in one direction leaves a lattice the
+    # generators do not map into itself; the back-substitution must notice
+    real = augring.lattice_from_generators
+
+    def shrunk(dim, generators, modulus=None):
+        out = real(dim, generators, modulus)
+        if modulus is None:
+            return out
+        rows = out.basis.data
+        return real(dim, [[3 * x for x in rows[0]]] + rows[1:])
+
+    monkeypatch.setattr(augring, "lattice_from_generators", shrunk)
+    ring = group_ring(FinAbGroup([2, 4]))
+    assert len(ring.ideal_powers(2)) == 3
+    with pytest.raises(NotASublatticeError, match=r"I\^4 is not inside I\^3"):
+        ring.ideal_powers(5)
+
+
+def test_chain_start_is_built_once_per_ring(monkeypatch):
+    ring = build_corpus_ring("burnside", "D4")
+    calls = []
+    kernel = augring.kernel_basis
+
+    def counting_kernel(m):
+        calls.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(augring, "kernel_basis", counting_kernel)
+    assert ring.validate().passed
+    build_report(ring, "burnside:D4", max_n=8)
+    ring.ideal_powers(3)
+    ring.ideal_generators()
+    assert len(calls) == 1
 
 
 def _first_nonassociative_triple(ring):

@@ -364,6 +364,64 @@ def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
     assert "AUGQ_MAX_ORDER" in err
 
 
+NOT_UTF8 = b'{"order": 1, "table": [[0]]} \xff\xfe'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--ring", "{path}"],
+        ["marks", "--group", "{path}"],
+        ["classify", "--profile", "{path}"],
+        ["corpus", "{path}"],
+    ],
+)
+def test_non_utf8_input_file(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"augq: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family,spec,order",
+    [
+        ("burnside", "C100000", 100000),
+        ("burnside", "D100000", 200000),
+        ("burnside", "C99999999999999999999", 99999999999999999999),
+        ("group-ring", "C5000", 5000),
+        ("group-ring", "C99999999999999999999", 99999999999999999999),
+        ("group-ring", "C2xC2xC2xC2xC2xC2xC2", 128),
+        ("rep", "C5000", 5000),
+        ("rep", "D5000", 10000),
+    ],
+)
+def test_order_guard_fires_before_any_table(capsys, family, spec, order):
+    code, out, err = run(capsys, "qn", "--group", spec, "--family", family)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"augq: group order {order} exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
+    )
+
+
+@pytest.mark.parametrize("family", ["group-ring", "rep", "burnside"])
+def test_order_guard_follows_the_env_on_every_family(capsys, monkeypatch, family):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "4")
+    code, _, err = run(capsys, "qn", "--group", "C5", "--family", family)
+    assert code == 1
+    assert "order guard 4" in err
+    code, _, _ = run(capsys, "qn", "--group", "C4", "--family", family, "--max-n", "2")
+    assert code == 0
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "abc")
+    code, _, err = run(capsys, "qn", "--group", "C4", "--family", family)
+    assert code == 2
+    assert "AUGQ_MAX_ORDER" in err
+
+
 def test_seed_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qn", "--ring", "C2", "--seed", "1"])

@@ -146,6 +146,28 @@ def test_enumerate_subgroups_guard(monkeypatch):
     assert enumerate_subgroups(g).orders()[-1] == 8
 
 
+def test_constructors_check_the_order_before_building(monkeypatch):
+    big = FinAbGroup([65])
+    constructions = [
+        lambda: dihedral_group(33),
+        lambda: cayley_from_abelian(big),
+        lambda: group_ring(big),
+        lambda: rep_ring_abelian(big),
+        lambda: rep_ring_dihedral(33),
+        lambda: CayleyGroup.from_dict({"order": 65, "table": []}),
+    ]
+    for build in constructions:
+        with pytest.raises(TooLargeError, match="order guard 64"):
+            build()
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "5")
+    with pytest.raises(TooLargeError, match="group order 6 exceeds"):
+        symmetric_group(3)
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "66")
+    assert dihedral_group(33).order == 66
+    assert group_ring(big).dim == 65
+    assert rep_ring_dihedral(33).dim == 18
+
+
 # -- table of marks ----------------------------------------------------------
 
 

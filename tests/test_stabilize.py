@@ -101,6 +101,30 @@ def test_lambda_diagnostics_rows_match_multiplication(family, spec, monkeypatch)
     assert table == want
 
 
+@pytest.mark.parametrize(
+    "family,spec", [("group-ring", "C2xC4"), ("burnside", "D4"), ("rep", "D6")]
+)
+def test_lambda_diagnostics_values_once_per_distinct_group(family, spec, monkeypatch):
+    ring = build_corpus_ring(family, spec)
+    seq = quotient_sequence(ring, 12)
+    d, r = seq[0].group.invariant_factors[-1], ring.free_rank()
+    calls = []
+    valuation = FinAbGroup.p_power_valuation
+
+    def counting_valuation(self, p, s):
+        calls.append((self, p, s))
+        return valuation(self, p, s)
+
+    monkeypatch.setattr(FinAbGroup, "p_power_valuation", counting_valuation)
+    table, _ = lambda_diagnostics(seq, d, r)
+    distinct = {q.group for q in seq}
+    assert len(distinct) < len(seq)
+    assert len(calls) == len(set(calls)) == len(table) * len(distinct)
+    monkeypatch.undo()
+    for (p, s), row in table.items():
+        assert row == tuple(q.group.p_power_valuation(p, s) for q in seq)
+
+
 def test_build_report_factors_each_invariant_factor_once(monkeypatch):
     # x*x = (2^64 + 1) x, so Q_n = Z/(2^64 + 1) for every n and d = 2^64 + 1
     big = 2**64 + 1
