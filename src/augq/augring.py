@@ -16,9 +16,11 @@ So C_n is computed modulo d, Z^r / C_n is I^n / I^{n+1}, and changing
 basis by C_n carries the matrices up to I^{n+1}.
 """
 
+import os
+import re
 from dataclasses import dataclass, field
 
-from .abgroup import FinAbGroup
+from .abgroup import BadParameterError, FinAbGroup
 from .intlinalg import AugqError, IntMatrix, Lattice, NotASublatticeError
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -28,13 +30,16 @@ __all__ = [
     "QuotientResult",
     "RankDropError",
     "RingSpecError",
+    "TooLargeError",
     "ValidationReport",
     "decode_int",
     "encode_int",
 ]
 
+DEFAULT_MAX_ORDER = 64
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 def encode_int(x):
@@ -43,15 +48,19 @@ def encode_int(x):
 
 
 def decode_int(x):
+    """An int, or a decimal string: ASCII digits after an optional "-",
+    nothing else (no "+", spaces, underscores or non-ASCII digits)."""
     if isinstance(x, bool):
         raise RingSpecError("expected an integer, got a boolean")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
         try:
-            return int(x, 10)
-        except ValueError:
-            raise RingSpecError(f"not a decimal integer: {x!r}")
+            if _DECIMAL.fullmatch(x):
+                return int(x)
+        except ValueError:  # more digits than int() accepts
+            pass
+        raise RingSpecError(f"not a decimal integer: {x!r}")
     raise RingSpecError(f"expected an integer, got {type(x).__name__}")
 
 
@@ -69,40 +78,6 @@ def _expand(terms, products):
     return tuple(sorted((k, x) for k, x in out.items() if x))
 
 
-def _times(step, rows):
-    """The rows of C·R, for C given by the (k, c) pairs of each row's
-    nonzero entries; a row e_k of C picks row k of R itself."""
-    out = []
-    for terms in step:
-        k, c = terms[0]
-        acc = rows[k] if c == 1 else [c * x for x in rows[k]]
-        for k, c in terms[1:]:
-            acc = [a + c * x for a, x in zip(acc, rows[k])]
-        out.append(acc)
-    return out
-
-
-def _solve_upper(step, row):
-    """The integer y with y·C = row, for C upper triangular with nonzero
-    diagonal, given as in ``_times``; None when a division is not exact.
-    Going down the columns, y_j is forced by column j, and then y_j times
-    row j of C is taken off the rest."""
-    y = list(row)
-    for j, terms in enumerate(step):
-        q = y[j]
-        if not q:
-            continue
-        p = terms[0][1]
-        if p != 1:
-            q, rem = divmod(q, p)
-            if rem:
-                return None
-            y[j] = q
-        for k, c in terms[1:]:
-            y[k] -= q * c
-    return y
-
-
 class DimensionMismatchError(AugqError, ValueError):
     """Operand vector length does not match the ring dimension."""
 
@@ -117,6 +92,11 @@ class RingSpecError(AugqError, ValueError):
     """Malformed or self-contradictory ring-spec input."""
 
     exit_code = 2
+
+
+class TooLargeError(AugqError, ValueError):
+    """A group order or a ring-spec dimension exceeds the order guard
+    (AUGQ_MAX_ORDER)."""
 
 
 @dataclass
@@ -409,34 +389,22 @@ class AugmentedRing:
         if steps is None:
             steps = []
         basis = square.basis.data
-        ops = step = None
         for n in range(2, max_n + 1):
-            if powers[-1] == powers[-2]:
-                # the chain went stationary; no new spans can appear
-                powers.append(powers[-1])
-                steps.append(Lattice.standard(r))
-                continue
-            if ops is None:
+            if n == 2:
                 ops = [
                     [square.coordinates(self.multiply(g, b)) for b in basis]
                     for g in gens
                 ]
             else:
-                ops = [
-                    [_solve_upper(step, row) for row in _times(step, op)]
-                    for op in ops
-                ]
+                ops = [[step.coordinates(row) for row in step.times(op)] for op in ops]
             if any(None in op for op in ops):
                 raise NotASublatticeError(
                     f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"
                 )
             rows = {tuple(row): None for op in ops for row in op}
-            lattice = lattice_from_generators(r, list(rows), modulus=d)
-            steps.append(lattice)
-            step = [
-                [(k, x) for k, x in enumerate(row) if x] for row in lattice.basis.data
-            ]
-            basis = _times(step, basis)
+            step = lattice_from_generators(r, list(rows), modulus=d)
+            steps.append(step)
+            basis = step.times(basis)
             powers.append(lattice_from_generators(self.dim, basis))
         return powers
 
@@ -507,6 +475,7 @@ class AugmentedRing:
         if not isinstance(basis, list) or not basis:
             raise RingSpecError("'basis' must be a nonempty list of labels")
         m = len(basis)
+        _check_order(m, what="ring dimension")
         if not isinstance(identity, int) or isinstance(identity, bool):
             raise RingSpecError("'identity' must be an integer index")
         if not 0 <= identity < m:
@@ -538,3 +507,30 @@ class AugmentedRing:
                     f"conflicting symmetric entries for basis pair ({i}, {j})"
                 )
         return cls(basis, vecs, aug, identity)
+
+
+def _check_order(order, max_order=None, what="group order"):
+    """Raise TooLargeError when a group of this order, or a ring spec of
+    this dimension, is past the guard.
+
+    The guard is ``max_order`` if given, else the environment variable
+    AUGQ_MAX_ORDER, default 64.  Every constructor checks the order before
+    it lists elements or builds a table, and ``from_dict`` checks the
+    dimension before it reads a structure row: tables grow as the square of
+    the order, ``validate`` expands every basis triple, subgroup enumeration
+    can grow exponentially, and this is a desk-scale tool.
+    """
+    if max_order is None:
+        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+        try:
+            max_order = int(raw)
+        except ValueError:
+            raise BadParameterError(
+                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
+            ) from None
+        if max_order < 1:
+            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
+    if order > max_order:
+        raise TooLargeError(
+            f"{what} {order} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"
+        )

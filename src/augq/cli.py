@@ -240,6 +240,11 @@ def _format_table(headers, rows):
     return "\n".join(lines)
 
 
+def _factors_cell(group):
+    """A table cell listing the invariant factors, e.g. ``[2, 4]``."""
+    return "[" + ", ".join(str(f) for f in group.invariant_factors) + "]"
+
+
 def _format_csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -307,10 +312,7 @@ def cmd_qn(args):
         ]
         text = _format_csv(["ring_id", "n", "invariants", "order"], rows)
     else:
-        rows = [
-            [str(q.n), "[" + invariants_cell(q.group).replace("|", ", ") + "]", str(q.order)]
-            for q in quotients
-        ]
+        rows = [[str(q.n), _factors_cell(q.group), str(q.order)] for q in quotients]
         text = f"ring: {ring_id}\n" + _format_table(["n", "invariants", "order"], rows)
     _emit(text, args.out)
     return 0
@@ -344,7 +346,7 @@ def cmd_stabilize(args):
         rows = [
             [
                 str(q.n),
-                "[" + invariants_cell(q.group).replace("|", ", ") + "]",
+                _factors_cell(q.group),
                 str(q.order),
                 "yes" if ok else "NO",
             ]
@@ -380,9 +382,7 @@ def cmd_classify(args):
     if args.format == "json":
         text = json.dumps({"invariant_factors": factors}, indent=2)
     elif args.format == "csv":
-        text = _format_csv(
-            ["invariants"], [["|".join(str(f) for f in factors)]]
-        )
+        text = _format_csv(["invariants"], [[invariants_cell(group)]])
     else:
         text = json.dumps(factors, separators=(",", ":"))
     _emit(text, args.out)

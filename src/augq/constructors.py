@@ -16,10 +16,9 @@ integrality is asserted rather than assumed.
 """
 
 import itertools
-import os
 
 from .abgroup import BadParameterError, FinAbGroup, ParseError
-from .augring import AugmentedRing
+from .augring import AugmentedRing, TooLargeError, _check_order
 from .intlinalg import AugqError
 
 __all__ = [
@@ -42,17 +41,11 @@ __all__ = [
     "table_of_marks",
 ]
 
-DEFAULT_MAX_ORDER = 64
-
 
 class CayleyTableError(AugqError, ValueError):
     """The table does not describe a group with identity at index 0."""
 
     exit_code = 2
-
-
-class TooLargeError(AugqError, ValueError):
-    """Group order exceeds the order guard (AUGQ_MAX_ORDER)."""
 
 
 class NonIntegralStructureError(AugqError, ArithmeticError):
@@ -137,32 +130,6 @@ class CayleyGroup:
 
     def __repr__(self):
         return f"CayleyGroup(order={self.order}, name={self.name!r})"
-
-
-def _check_order(order, max_order=None):
-    """Raise TooLargeError when a group of this order is past the guard.
-
-    The guard is ``max_order`` if given, else the environment variable
-    AUGQ_MAX_ORDER, default 64.  Every constructor checks the order before
-    it lists elements or builds a table: tables grow as the square of the
-    order and subgroup enumeration can grow exponentially, and this is a
-    desk-scale tool.
-    """
-    if max_order is None:
-        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-        try:
-            max_order = int(raw)
-        except ValueError:
-            raise BadParameterError(
-                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
-            ) from None
-        if max_order < 1:
-            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
-    if order > max_order:
-        raise TooLargeError(
-            f"group order {order} exceeds the order guard {max_order} "
-            "(AUGQ_MAX_ORDER)"
-        )
 
 
 def _residue_addition(g):

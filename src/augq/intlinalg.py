@@ -22,7 +22,9 @@ insertion can still grow intermediate coefficients far past the size of
 the canonical result, so ``lattice_from_generators`` also takes a modulus:
 for a lattice known to contain d·Z^n it works modulo d (Domich–Kannan–
 Trotter 1987; Cohen, GTM 138, §2.4.2), and the echelon's entries stay
-within [0, d].
+within [0, d].  Both paths run through the one ``_Echelon.insert``.
+Only ``Lattice`` knows the sparse form of an HNF basis; callers go through
+its ``coordinates`` (back-substitution) and ``times`` (products).
 """
 
 import bisect
@@ -207,7 +209,9 @@ class _Echelon:
     Pivots are sought only in the first ``ncols`` entries.  A row may be
     longer: its trailing entries take part in every row operation without
     ever holding a pivot.  That is how ``hnf`` carries its unimodular
-    transform and ``kernel_basis`` its kernel vectors.
+    transform and ``kernel_basis`` its kernel vectors.  Given a modulus d,
+    ``insert`` reduces modulo d in the same pass, for
+    ``lattice_from_generators``.
     """
 
     def __init__(self, ncols):
@@ -215,11 +219,16 @@ class _Echelon:
         self.pivots = []
         self.rows = []
 
-    def insert(self, row):
+    def insert(self, row, d=None):
         """Reduce ``row`` against the basis, growing it when independent.
 
         Returns the reduced row when its first ``ncols`` entries reduced to
         zero (its trailing entries then record how), else None.
+
+        With a modulus ``d`` every entry a reduction writes is taken into
+        [0, d).  Each such step adds multiples of d·e_k for columns k right
+        of the current pivot, so the span is kept only up to d·Z^n unless
+        those d·e_k are already spanned by the rows with pivots at or past k.
         """
         v = list(row)
         n = self.ncols
@@ -238,56 +247,31 @@ class _Echelon:
                 b = v[c]
                 if b % a == 0:
                     q = b // a
-                    v = [x - q * y for x, y in zip(v, h)]
+                    v = (
+                        [x - q * y for x, y in zip(v, h)]
+                        if d is None
+                        else [(x - q * y) % d for x, y in zip(v, h)]
+                    )
                 else:
+                    # modulo d: gcd(a, b) < a <= d, so the new pivot stays put
                     g, x, y = _xgcd(a, b)
                     af = a // g
                     bf = b // g
-                    rows[idx] = [x * p + y * q2 for p, q2 in zip(h, v)]
-                    v = [af * q2 - bf * p for p, q2 in zip(h, v)]
+                    rows[idx] = (
+                        [x * p + y * q2 for p, q2 in zip(h, v)]
+                        if d is None
+                        else [(x * p + y * q2) % d for p, q2 in zip(h, v)]
+                    )
+                    v = (
+                        [af * q2 - bf * p for p, q2 in zip(h, v)]
+                        if d is None
+                        else [(af * q2 - bf * p) % d for p, q2 in zip(h, v)]
+                    )
                 c += 1
             else:
                 pivots.insert(idx, c)
                 rows.insert(idx, v)
                 return None
-
-    def insert_mod(self, row, d):
-        """Insert ``row`` keeping every entry right of a pivot in [0, d).
-
-        Each reduction adds multiples of d·e_k for columns k right of the
-        current pivot, so the span is kept only up to d·Z^n unless those
-        d·e_k are already spanned by the rows with pivots at or past k.
-        """
-        v = list(row)
-        n = self.ncols
-        pivots = self.pivots
-        rows = self.rows
-        c = 0
-        while True:
-            while c < n and not v[c]:
-                c += 1
-            if c == n:
-                return
-            idx = bisect.bisect_left(pivots, c)
-            if idx < len(pivots) and pivots[idx] == c:
-                h = rows[idx]
-                a = h[c]
-                b = v[c]
-                if b % a == 0:
-                    q = b // a
-                    v = [(x - q * y) % d for x, y in zip(v, h)]
-                else:
-                    # gcd(a, b) < a <= d, so reducing the new pivot is a no-op
-                    g, x, y = _xgcd(a, b)
-                    af = a // g
-                    bf = b // g
-                    rows[idx] = [(x * p + y * q2) % d for p, q2 in zip(h, v)]
-                    v = [(af * q2 - bf * p) % d for p, q2 in zip(h, v)]
-                c += 1
-            else:
-                pivots.insert(idx, c)
-                rows.insert(idx, v)
-                return
 
     def canonicalize(self):
         """Normalize in place: positive pivots, entries above reduced."""
@@ -311,32 +295,35 @@ class Lattice:
 
     The zero lattice is a basis with no rows and an explicit ambient
     dimension.  Because the basis is canonical, ``==`` decides equality of
-    lattices, not just of generating sets.
+    lattices, not just of generating sets.  Each basis row is also kept in
+    sparse form, its nonzero entries as (column, entry) pairs with the pivot
+    first; ``coordinates`` and ``times`` walk those.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim, basis):
         if basis.ncols != ambient_dim:
             raise ValueError("basis width does not match ambient dimension")
-        pivots = []
+        rows = []
         for row in basis.data:
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
+            terms = [(j, x) for j, x in enumerate(row) if x]
+            if not terms:
                 raise ValueError("zero row in lattice basis")
-            if pivots and c <= pivots[-1]:
+            c, p = terms[0]
+            if rows and c <= rows[-1][0][0]:
                 raise ValueError("pivot columns must strictly increase")
-            if row[c] < 0:
+            if p < 0:
                 raise ValueError("pivot entries must be positive")
-            pivots.append(c)
-        for j, c in enumerate(pivots):
-            p = basis.data[j][c]
+            rows.append(terms)
+        for j, terms in enumerate(rows):
+            c, p = terms[0]
             for i in range(j):
                 if not 0 <= basis.data[i][c] < p:
                     raise ValueError("entries above a pivot must lie in [0, pivot)")
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self._pivots = pivots
+        self._rows = rows
 
     @classmethod
     def standard(cls, n):
@@ -361,16 +348,37 @@ class Lattice:
             raise ValueError("vector length does not match ambient dimension")
         v = list(vec)
         coeffs = []
-        for row, c in zip(self.basis.data, self._pivots):
-            q, rem = divmod(v[c], row[c])
-            if rem:
-                return None
+        for terms in self._rows:
+            c, p = terms[0]
+            q = v[c]
             if q:
-                v = [x - q * y for x, y in zip(v, row)]
+                q, rem = divmod(q, p)
+                if rem:
+                    return None
+                for k, x in terms:
+                    v[k] -= q * x
             coeffs.append(q)
         if any(v):
             return None
         return coeffs
+
+    def times(self, rows):
+        """The rows of B·R for this basis B and the matrix R given by its
+        ``ambient_dim`` rows; a unit basis row e_k picks row k of R itself.
+
+        >>> Lattice(2, IntMatrix([[1, 0], [0, 3]])).times([[1, 2], [0, 1]])
+        [[1, 2], [0, 3]]
+        """
+        if len(rows) != self.ambient_dim:
+            raise ValueError("row count does not match ambient dimension")
+        out = []
+        for terms in self._rows:
+            k, c = terms[0]
+            acc = rows[k] if c == 1 else [c * x for x in rows[k]]
+            for k, c in terms[1:]:
+                acc = [a + c * x for a, x in zip(acc, rows[k])]
+            out.append(acc)
+        return out
 
     def contains(self, vec):
         return self.coordinates(vec) is not None
@@ -412,15 +420,12 @@ def lattice_from_generators(ambient_dim, generators, modulus=None):
     for g in generators:
         if len(g) != ambient_dim:
             raise ValueError("generator length does not match ambient dimension")
-        if modulus is None:
-            ech.insert(g)
-        else:
-            ech.insert_mod([x % modulus for x in g], modulus)
+        ech.insert(g if modulus is None else [x % modulus for x in g], modulus)
     if modulus is not None:
         for j in reversed(range(ambient_dim)):
             v = [0] * ambient_dim
             v[j] = modulus
-            ech.insert_mod(v, modulus)
+            ech.insert(v, modulus)
     ech.canonicalize()
     return Lattice(ambient_dim, IntMatrix(ech.rows, ncols=ambient_dim))
 

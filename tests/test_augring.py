@@ -496,8 +496,10 @@ def test_int_codec():
     assert decode_int(str(2**100)) == 2**100
     with pytest.raises(RingSpecError):
         decode_int(True)
-    with pytest.raises(RingSpecError):
-        decode_int("junk")
+    for text in ("junk", "1_000", " 7", "7 ", "+5", "\u0661\u0662", "-", ""):
+        with pytest.raises(RingSpecError, match="not a decimal integer"):
+            decode_int(text)
+    assert decode_int("-0012") == -12
     with pytest.raises(RingSpecError):
         decode_int(2.5)
 
@@ -560,6 +562,7 @@ def test_from_dict_malformed():
         lambda d: d.update(augmentation=[1]),
         lambda d: d["structure"].append([0, 0, 9, 1]),
         lambda d: d["structure"].append([0, 0, 0]),
+        lambda d: d["structure"].append([1, 1, 0, "1_000"]),
     ):
         d = {k: (list(v) if isinstance(v, list) else v) for k, v in good.items()}
         d["structure"] = [list(q) for q in d["structure"]]

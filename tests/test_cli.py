@@ -408,6 +408,22 @@ def test_order_guard_fires_before_any_table(capsys, family, spec, order):
     )
 
 
+def test_order_guard_covers_ring_specs(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "65")
+    path = tmp_path / "c65.json"
+    path.write_text(json.dumps(constructors.group_ring(augq.FinAbGroup([65])).to_dict()))
+    monkeypatch.delenv("AUGQ_MAX_ORDER")
+    code, out, err = run(capsys, "validate", "--ring", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "augq: ring dimension 65 exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
+    )
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "65")
+    code, out, _ = run(capsys, "validate", "--ring", str(path))
+    assert code == 0
+    assert "result: valid" in out
+
+
 @pytest.mark.parametrize("family", ["group-ring", "rep", "burnside"])
 def test_order_guard_follows_the_env_on_every_family(capsys, monkeypatch, family):
     monkeypatch.setenv("AUGQ_MAX_ORDER", "4")

@@ -157,6 +157,32 @@ def test_lattice_membership_and_coordinates():
     assert not lat.contains_lattice(Lattice.standard(3))
 
 
+def test_lattice_coordinates_and_times_match_oracles():
+    # seeded HNF bases from the textbook oracle: non-unit pivots, rank below
+    # the dimension, and the zero lattice all occur
+    rng = random.Random(17)
+    outside = 0
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+        basis = hnf_oracle(rows)
+        lat = Lattice(n, IntMatrix(basis, ncols=n))
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        vec = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+        assert lat.coordinates(vec) == coeffs
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        c = lat.coordinates(v)
+        assert (c is not None) == (hnf_oracle(basis + [v]) == basis)
+        if c is None:
+            outside += 1
+        else:
+            assert [sum(x * row[j] for x, row in zip(c, basis)) for j in range(n)] == v
+        width = rng.randrange(1, 5)
+        right = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
+        assert lat.times(right) == matmul(basis, right)
+    assert outside >= 50
+
+
 def test_generators_frozen_example():
     lat = lattice_from_generators(2, [(0, 3), (0, 6)])
     assert lat.basis.tolist() == [[0, 3]]
