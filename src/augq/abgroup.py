@@ -12,6 +12,7 @@ p^s-multiples, together with its exact inverse.
 
 import functools
 import random
+import re
 from math import gcd
 
 from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
@@ -25,6 +26,7 @@ __all__ = [
     "ValuationProfile",
     "random_group",
     "random_subgroup_quotient",
+    "read_decimal",
 ]
 
 
@@ -51,6 +53,24 @@ class ParseError(AugqError, ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def read_decimal(text):
+    """The integer that ``text`` spells, or None if it spells none.
+
+    The one rule for every integer read from text (group and ring specs,
+    options, AUGQ_MAX_ORDER, profile keys): ASCII digits after an optional
+    "-", nothing else -- no "+", spaces, underscores or non-ASCII digits.
+
+    >>> [read_decimal(t) for t in ("-12", "1_0", "+5", " 7", "²")]
+    [-12, None, None, None, None]
+    """
+    try:
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() accepts
+        pass
+    return None
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -286,18 +306,15 @@ class FinAbGroup:
             by_prime.setdefault(p, {})[s] = val
         for p in sorted(by_prime):
             sigma = by_prime[p]
-            smax = max(sigma)
-            atleast = []
-            for k in range(1, smax + 2):
-                c = sigma.get(k - 1, 0) - sigma.get(k, 0)
-                if c < 0:
+            for s in sorted(sigma):
+                # zeros are dropped, so a rise sigma_{s-1} < sigma_s sits at a
+                # given s; past this scan the shifts are exactly 0..max(sigma)
+                if s and sigma.get(s - 1, 0) < sigma[s]:
                     raise InconsistentProfileError(
-                        f"profile is not non-increasing at p={p}, s={k}"
+                        f"profile is not non-increasing at p={p}, s={s}"
                     )
-                atleast.append(c)
-            atleast.append(0)
-            for k in range(1, smax + 2):
-                mult = atleast[k - 1] - atleast[k]
+            for k in range(1, max(sigma) + 2):
+                mult = sigma.get(k - 1, 0) - 2 * sigma.get(k, 0) + sigma.get(k + 1, 0)
                 if mult < 0:
                     raise InconsistentProfileError(
                         f"profile forces a negative multiplicity at p={p}, exponent {k}"
@@ -323,12 +340,9 @@ class FinAbGroup:
         orders = []
         pos = 0
         for token in text.split("x"):
-            if not token.startswith("C"):
+            n = read_decimal(token[1:]) if token.startswith("C") else None
+            if n is None:
                 raise ParseError(f"expected C<n>, got {token!r}", pos)
-            digits = token[1:]
-            if not digits.isdigit():
-                raise ParseError(f"expected C<n>, got {token!r}", pos)
-            n = int(digits)
             if n < 2:
                 raise ParseError(f"cyclic order must be >= 2, got {token!r}", pos)
             orders.append(n)
@@ -400,22 +414,16 @@ class ValuationProfile:
     def from_json_mapping(cls, mapping):
         entries = {}
         for key, val in mapping.items():
-            parts = str(key).split(",")
-            if len(parts) != 2:
+            pair = tuple(read_decimal(t) for t in str(key).split(","))
+            if len(pair) != 2 or None in pair:
                 raise BadParameterError(
-                    f"profile key {key!r} is not of the form 'p,s'"
-                )
-            try:
-                p, s = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise BadParameterError(
-                    f"profile key {key!r} is not a pair of integers"
+                    f"profile key {key!r} is not a pair 'p,s' of integers"
                 )
             if not isinstance(val, int) or isinstance(val, bool):
                 raise BadParameterError(
                     f"profile value for key {key!r} must be an integer, got {val!r}"
                 )
-            entries[(p, s)] = val
+            entries[pair] = val
         return cls(entries)
 
 

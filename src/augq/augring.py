@@ -17,10 +17,9 @@ basis by C_n carries the matrices up to I^{n+1}.
 """
 
 import os
-import re
 from dataclasses import dataclass, field
 
-from .abgroup import BadParameterError, FinAbGroup
+from .abgroup import BadParameterError, FinAbGroup, read_decimal
 from .intlinalg import AugqError, IntMatrix, Lattice, NotASublatticeError
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -39,7 +38,6 @@ __all__ = [
 DEFAULT_MAX_ORDER = 64
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
-_DECIMAL = re.compile("-?[0-9]+")
 
 
 def encode_int(x):
@@ -48,18 +46,15 @@ def encode_int(x):
 
 
 def decode_int(x):
-    """An int, or a decimal string: ASCII digits after an optional "-",
-    nothing else (no "+", spaces, underscores or non-ASCII digits)."""
+    """An int, or a decimal string under ``read_decimal``'s rule."""
     if isinstance(x, bool):
         raise RingSpecError("expected an integer, got a boolean")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        try:
-            if _DECIMAL.fullmatch(x):
-                return int(x)
-        except ValueError:  # more digits than int() accepts
-            pass
+        n = read_decimal(x)
+        if n is not None:
+            return n
         raise RingSpecError(f"not a decimal integer: {x!r}")
     raise RingSpecError(f"expected an integer, got {type(x).__name__}")
 
@@ -509,27 +504,23 @@ class AugmentedRing:
         return cls(basis, vecs, aug, identity)
 
 
-def _check_order(order, max_order=None, what="group order"):
+def _check_order(order, what="group order"):
     """Raise TooLargeError when a group of this order, or a ring spec of
     this dimension, is past the guard.
 
-    The guard is ``max_order`` if given, else the environment variable
-    AUGQ_MAX_ORDER, default 64.  Every constructor checks the order before
-    it lists elements or builds a table, and ``from_dict`` checks the
+    The guard is the environment variable AUGQ_MAX_ORDER, default 64, and
+    nothing else sets it.  Every constructor checks the order before it
+    lists elements or builds a table, and ``from_dict`` checks the
     dimension before it reads a structure row: tables grow as the square of
     the order, ``validate`` expands every basis triple, subgroup enumeration
     can grow exponentially, and this is a desk-scale tool.
     """
+    raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+    max_order = read_decimal(raw)
     if max_order is None:
-        raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-        try:
-            max_order = int(raw)
-        except ValueError:
-            raise BadParameterError(
-                f"AUGQ_MAX_ORDER must be an integer, got {raw!r}"
-            ) from None
-        if max_order < 1:
-            raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
+        raise BadParameterError(f"AUGQ_MAX_ORDER must be an integer, got {raw!r}")
+    if max_order < 1:
+        raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
     if order > max_order:
         raise TooLargeError(
             f"{what} {order} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .abgroup import FinAbGroup, ValuationProfile
+from .abgroup import FinAbGroup, ValuationProfile, read_decimal
 from .augring import AugmentedRing
 from .constructors import (
     CayleyGroup,
@@ -59,9 +59,8 @@ class CliError(AugqError):
 
 def _int_at_least(low, message):
     def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
+        n = read_decimal(text)
+        if n is None:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if n < low:
             raise argparse.ArgumentTypeError(message)
@@ -179,8 +178,9 @@ def _cayley_group(spec):
 def _construct_family_ring(family, spec):
     if family == "burnside":
         return burnside_ring(_cayley_group(spec))
-    if family == "rep" and spec.startswith("D") and spec[1:].isdigit():
-        return rep_ring_dihedral(int(spec[1:]))
+    m = read_decimal(spec[1:]) if spec.startswith("D") else None
+    if family == "rep" and m is not None:
+        return rep_ring_dihedral(m)
     g = parse_group_spec(spec)
     if family == "rep":
         if isinstance(g, FinAbGroup):

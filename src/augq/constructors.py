@@ -17,7 +17,7 @@ integrality is asserted rather than assumed.
 
 import itertools
 
-from .abgroup import BadParameterError, FinAbGroup, ParseError
+from .abgroup import BadParameterError, FinAbGroup, ParseError, read_decimal
 from .augring import AugmentedRing, TooLargeError, _check_order
 from .intlinalg import AugqError
 
@@ -227,15 +227,15 @@ def _close_subset(g, seed):
     return frozenset(members)
 
 
-def enumerate_subgroups(g, max_order=None):
+def enumerate_subgroups(g):
     """All subgroups of g up to conjugacy.
 
     Every subgroup is the join of its cyclic subgroups, so the closure that
     repeatedly joins known subgroups with cyclic ones reaches the full
-    subgroup lattice.  Refused past ``max_order`` (else AUGQ_MAX_ORDER,
-    default 64), like every constructor here.
+    subgroup lattice.  Refused past AUGQ_MAX_ORDER (default 64), like every
+    constructor here.
     """
-    _check_order(g.order, max_order)
+    _check_order(g.order)
     cyclic = {_close_subset(g, (x,)) for x in range(g.order)}
     subgroups = set(cyclic)
     work = list(subgroups)
@@ -279,10 +279,9 @@ class MarksMatrix:
         return len(self.values)
 
 
-def table_of_marks(g, classes=None, max_order=None):
+def table_of_marks(g):
     """Direct fixed-point count of each subgroup on each coset space."""
-    if classes is None:
-        classes = enumerate_subgroups(g, max_order=max_order)
+    classes = enumerate_subgroups(g)
     n = g.order
     table = g.table
     values = []
@@ -309,7 +308,7 @@ def table_of_marks(g, classes=None, max_order=None):
     return MarksMatrix(values=values, classes=classes)
 
 
-def burnside_ring(g, max_order=None):
+def burnside_ring(g):
     """The Burnside ring of g on the basis [G/H], one H per class.
 
     The mark homomorphism sends [G/H] to its row of fixed-point counts and
@@ -317,7 +316,7 @@ def burnside_ring(g, max_order=None):
     through the triangular solve, and any non-integer coefficient (which
     would mean the mark matrix lied) raises NonIntegralStructureError.
     """
-    marks = table_of_marks(g, max_order=max_order)
+    marks = table_of_marks(g)
     classes = marks.classes
     t = len(classes)
     mk = marks.values
@@ -471,10 +470,9 @@ def parse_group_spec(text):
         if text in ("S3", "S4"):
             return symmetric_group(int(text[1]))
         if text.startswith("D"):
-            digits = text[1:]
-            if not digits.isdigit():
+            m = read_decimal(text[1:])
+            if m is None:
                 raise ParseError(f"expected D<m>, got {text!r}", 0)
-            m = int(digits)
             if m < 3:
                 raise ParseError("dihedral specs need m >= 3", 0)
             return dihedral_group(m)

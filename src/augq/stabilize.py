@@ -224,7 +224,7 @@ def report_from_dict(d):
     table = {}
     for key, row in d["lambda_table"].items():
         p, s = key.split(",")
-        table[(int(p), int(s))] = tuple(row)
+        table[(decode_int(p), decode_int(s))] = tuple(row)
     return StabilizationReport(
         ring_id=d["ring_id"],
         max_n=d["max_n"],
@@ -239,8 +239,8 @@ def report_from_dict(d):
     )
 
 
-def report_to_json(report, indent=2):
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_to_json(report):
+    return json.dumps(report_to_dict(report), indent=2)
 
 
 def report_from_json(text):

@@ -135,7 +135,9 @@ def test_spec_string_roundtrip():
 
 
 def test_from_spec_errors():
-    for bad in ("", "C1", "C0", "Cx", "C2x", "xC2", "C2 x C4", "D4"):
+    # n is ASCII decimal digits only: no sign, separator or non-ASCII digit
+    non_decimal = ("C²", "C١", "C𝟐", "C+2", "C 2", "C1_0", "C2xC-4", "C" + "1" * 5000)
+    for bad in ("", "C1", "C0", "Cx", "C2x", "xC2", "C2 x C4", "D4") + non_decimal:
         with pytest.raises(ParseError):
             FinAbGroup.from_spec(bad)
     try:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from augq import cli
 from augq.cli import main
 from augq.constructors import MarksMatrix
 from augq.stabilize import report_from_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -56,9 +61,27 @@ def test_qn_frozen_csv(capsys):
 
 
 def test_qn_rejects_nonpositive_max_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["qn", "--ring", "C2", "--max-n", "0"])
-    assert exc.value.code == 2
+    for max_n in ("0", "١_2", "1_2", "+3", " 3", "²"):
+        with pytest.raises(SystemExit) as exc:
+            main(["qn", "--ring", "C2", "--max-n", max_n])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--group", "C²"],
+        ["--group", "D²"],
+        ["--group", "D³", "--family", "rep"],
+        ["--group", "C2xC١٢"],
+        ["--group", "C" + "1" * 5000],
+    ],
+)
+def test_qn_rejects_non_decimal_group_spec(capsys, argv):
+    code, out, err = run(capsys, "qn", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("augq: group spec: ")
 
 
 def test_stabilize_json_roundtrip(capsys):
@@ -276,6 +299,18 @@ def test_corpus_relative_paths_resolve_against_corpus_file(capsys, tmp_path):
     assert "ring:dual" in out
 
 
+def test_corpus_non_decimal_spec_is_an_error_row(capsys, tmp_path):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("group-ring C2\ngroup-ring C²\nburnside C2\n")
+    code, out, _ = run(capsys, "corpus", str(corpus), "--max-n", "6", "--window", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[1].startswith("group-ring:C2,ok,")
+    assert lines[2].startswith("group-ring:C²,error,") and "expected C<n>" in lines[2]
+    assert lines[3].startswith("burnside:C2,ok,")
+
+
 def test_corpus_bad_line(capsys, tmp_path):
     corpus = tmp_path / "rings.txt"
     corpus.write_text("group-ring C2 extra\n")
@@ -285,10 +320,11 @@ def test_corpus_bad_line(capsys, tmp_path):
 
 
 def test_marks_guard_rejects_non_integer_env(capsys, monkeypatch):
-    monkeypatch.setenv("AUGQ_MAX_ORDER", "abc")
-    code, _, err = run(capsys, "marks", "--group", "S3")
-    assert code == 2
-    assert "AUGQ_MAX_ORDER" in err
+    for value in ("abc", "1_0", "+64", " 64", "٦٤", "6.4e1"):
+        monkeypatch.setenv("AUGQ_MAX_ORDER", value)
+        code, _, err = run(capsys, "marks", "--group", "S3")
+        assert code == 2
+        assert "AUGQ_MAX_ORDER" in err
 
 
 def test_qn_json_encodes_big_invariant_factors(capsys, tmp_path):
@@ -355,6 +391,25 @@ def test_classify_rejects_non_integer_profile_values(capsys, value):
     assert code == 2
     assert out == ""
     assert "'2,0'" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("key", ["٣,0", "3,0_0", "+3,0", " 3,0", "3", "3,0,0"])
+def test_classify_rejects_non_decimal_profile_keys(capsys, key):
+    code, out, err = run(capsys, "classify", "--profile", json.dumps({key: 1}))
+    assert code == 2
+    assert out == ""
+    assert f"profile key {key!r}" in err
+
+
+def test_classify_rejects_a_far_rise_at_once():
+    # the rise sits at s = 10^12: a walk over every shift up to it runs for hours
+    argv = ["-m", "augq.cli", "classify", "--profile", '{"2,1000000000000": 1}']
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 1
+    assert "not non-increasing at p=2, s=1000000000000" in done.stderr
 
 
 def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
@@ -487,9 +542,9 @@ def _too_large_error(monkeypatch, tmp_path):
 def _non_integral_structure_error(monkeypatch, tmp_path):
     real = constructors.table_of_marks
 
-    def lying_marks(g, classes=None, max_order=None):
+    def lying_marks(g):
         # [C2/1]^2 then has mark vector (1, 4), which no integer solve reaches
-        return MarksMatrix([[2, 0], [1, 2]], real(g, classes, max_order).classes)
+        return MarksMatrix([[2, 0], [1, 2]], real(g).classes)
 
     monkeypatch.setattr(constructors, "table_of_marks", lying_marks)
     return ["qn", "--group", "C2", "--family", "burnside"]

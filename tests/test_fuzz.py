@@ -1,0 +1,123 @@
+"""Seeded fuzz of the command line with mutated group specs and ring specs.
+
+Every call must end in one of the documented exit codes 0-3: an exception
+that escapes ``main`` is a traceback for the user.  The order guard is
+lowered to 16 so that no mutation builds a large ring.
+"""
+
+import json
+import random
+
+import pytest
+
+from augq import FinAbGroup, burnside_ring, group_ring, rep_ring_dihedral
+from augq import symmetric_group
+from augq.cli import main
+
+EXIT_CODES = (0, 1, 2, 3)
+CALLS = 500  # per half; building the argument parser dominates each call
+
+GROUP_SPECS = ("C2", "C2xC4", "D4", "S3", "1", "C12")
+# ASCII digits and spec letters, plus a superscript, an Arabic-Indic and a
+# mathematical-bold digit, and the separators int() would accept
+SPEC_ALPHABET = "0123456789CDSx-_+ ²١𝟐"
+FAMILIES = ("group-ring", "burnside", "rep")
+
+# values a ring-spec field may be replaced by: in and out of range, decimal
+# strings good and bad, and every other JSON type
+FIELD_VALUES = (
+    -1, 0, 1, 2, 3, 7, 2**64 + 1, True, None, 1.5, [], {}, [0, 0, 0, 1],
+    "5", "-3", "1_0", "+5", " 7", "²", "١", "", "x", str(2**70),
+)
+
+
+@pytest.fixture(autouse=True)
+def small_order_guard(monkeypatch):
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "16")
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed option value
+        return exc.code
+    except Exception as exc:
+        pytest.fail(f"augq {' '.join(argv)!r} raised {exc!r}")
+
+
+def _mutate_text(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3) if chars else 0
+        if op == 0:
+            chars.insert(i, rng.choice(SPEC_ALPHABET))
+        elif op == 1:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(SPEC_ALPHABET)
+    return "".join(chars)
+
+
+def test_fuzz_group_specs(capsys):
+    rng = random.Random(8)
+    for _ in range(CALLS):
+        spec = _mutate_text(rng, rng.choice(GROUP_SPECS))
+        family = rng.choice(FAMILIES)
+        argv = ["qn", f"--group={spec}", "--family", family, "--max-n", "2"]
+        assert _exit_code(argv) in EXIT_CODES, argv
+        capsys.readouterr()
+
+
+def _base_specs():
+    return [
+        group_ring(FinAbGroup([2, 2])).to_dict(),
+        burnside_ring(symmetric_group(3)).to_dict(),
+        rep_ring_dihedral(4).to_dict(),
+        # the dual numbers Z[x]/(x^2): a valid spec that fails validation
+        {
+            "basis": ["1", "x"],
+            "identity": 0,
+            "structure": [[0, 0, 0, 1], [0, 1, 1, 1]],
+            "augmentation": [1, 0],
+        },
+    ]
+
+
+def _mutate_spec(rng, spec):
+    """Replace, drop or add one field, or one entry of a list field, at random."""
+    spec = json.loads(json.dumps(spec))
+    key = rng.choice(sorted(spec) + ["extra"])
+    value = spec.get(key)
+    op = rng.randrange(4)
+    if op == 0:
+        spec.pop(key, None)
+    elif op == 1 or not isinstance(value, list) or not value:
+        spec[key] = rng.choice(FIELD_VALUES)
+    else:
+        i = rng.randrange(len(value))
+        entry = value[i]
+        if isinstance(entry, list) and entry and op == 2:
+            entry[rng.randrange(len(entry))] = rng.choice(FIELD_VALUES)
+        elif op == 2:
+            value[i] = rng.choice(FIELD_VALUES)
+        else:
+            value.insert(i, rng.choice(FIELD_VALUES))
+    return spec
+
+
+def test_fuzz_ring_specs(capsys, tmp_path):
+    rng = random.Random(9)
+    bases = _base_specs()
+    path = tmp_path / "ring.json"
+    commands = (
+        ["validate"],
+        ["qn", "--max-n", "3"],
+        ["stabilize", "--max-n", "4", "--window", "2"],
+    )
+    for _ in range(CALLS // len(commands)):
+        path.write_text(json.dumps(_mutate_spec(rng, rng.choice(bases))))
+        for command in commands:
+            argv = command + ["--ring", str(path), "--format", "json"]
+            assert _exit_code(argv) in EXIT_CODES, (argv, path.read_text())
+            capsys.readouterr()
