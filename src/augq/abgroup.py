@@ -11,6 +11,7 @@ p^s-multiples, together with its exact inverse.
 """
 
 import functools
+import os
 import random
 import re
 from math import gcd
@@ -23,6 +24,7 @@ __all__ = [
     "InconsistentProfileError",
     "NotPrimeError",
     "ParseError",
+    "TooLargeError",
     "ValuationProfile",
     "random_group",
     "random_subgroup_quotient",
@@ -55,6 +57,14 @@ class ParseError(AugqError, ValueError):
         self.position = position
 
 
+class TooLargeError(AugqError, ValueError):
+    """A group order, a ring-spec dimension or a profile's p-rank exceeds the
+    order guard (AUGQ_MAX_ORDER)."""
+
+
+DEFAULT_MAX_ORDER = 64
+
+
 def read_decimal(text):
     """The integer that ``text`` spells, or None if it spells none.
 
@@ -71,6 +81,31 @@ def read_decimal(text):
     except ValueError:  # more digits than int() accepts
         pass
     return None
+
+
+def _check_order(order, what="group order"):
+    """Raise TooLargeError when a group of this order, a ring spec of this
+    dimension or a profile of this p-rank is past the guard.
+
+    The guard is the environment variable AUGQ_MAX_ORDER, default 64, and
+    nothing else sets it.  Every constructor checks the order before it
+    lists elements or builds a table, ``parse_group_spec`` before it
+    factors a cyclic order, ``from_dict`` checks the dimension before it
+    reads a structure row, and ``from_valuation_profile`` each p-rank
+    before it lists a cyclic factor: tables grow as the square of the
+    order, ``validate`` expands every basis triple, subgroup enumeration
+    can grow exponentially, and this is a desk-scale tool.
+    """
+    raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+    max_order = read_decimal(raw)
+    if max_order is None:
+        raise BadParameterError(f"AUGQ_MAX_ORDER must be an integer, got {raw!r}")
+    if max_order < 1:
+        raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
+    if order > max_order:
+        raise TooLargeError(
+            f"{what} {order} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"
+        )
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -298,7 +333,8 @@ class FinAbGroup:
         sigma_s - sigma_{s+1} counts the cyclic p-power factors of exponent
         at least s+1; a second difference therefore recovers the exact
         multiplicity of each exponent.  Any negative count along the way
-        means no group realizes the profile.
+        means no group realizes the profile.  The p-rank sigma_0 - sigma_1,
+        the number of cyclic p-power factors, is bounded by the order guard.
         """
         orders = []
         by_prime = {}
@@ -313,6 +349,7 @@ class FinAbGroup:
                     raise InconsistentProfileError(
                         f"profile is not non-increasing at p={p}, s={s}"
                     )
+            _check_order(sigma.get(0, 0) - sigma.get(1, 0), what=f"{p}-rank")
             for k in range(1, max(sigma) + 2):
                 mult = sigma.get(k - 1, 0) - 2 * sigma.get(k, 0) + sigma.get(k + 1, 0)
                 if mult < 0:
@@ -335,8 +372,17 @@ class FinAbGroup:
     def from_spec(cls, text):
         """Parse the abelian group grammar: "1", "C<n>" with n >= 2, or
         products of the latter joined by "x" (e.g. "C2xC4")."""
+        return cls(cls.spec_orders(text))
+
+    @staticmethod
+    def spec_orders(text):
+        """The cyclic orders that a ``from_spec`` spec names, unfactored.
+
+        >>> FinAbGroup.spec_orders("C2xC6")
+        [2, 6]
+        """
         if text == "1":
-            return cls()
+            return []
         orders = []
         pos = 0
         for token in text.split("x"):
@@ -347,7 +393,7 @@ class FinAbGroup:
                 raise ParseError(f"cyclic order must be >= 2, got {token!r}", pos)
             orders.append(n)
             pos += len(token) + 1
-        return cls(orders)
+        return orders
 
     def __eq__(self, other):
         if not isinstance(other, FinAbGroup):

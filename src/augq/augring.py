@@ -16,10 +16,10 @@ So C_n is computed modulo d, Z^r / C_n is I^n / I^{n+1}, and changing
 basis by C_n carries the matrices up to I^{n+1}.
 """
 
-import os
 from dataclasses import dataclass, field
+from operator import mul
 
-from .abgroup import BadParameterError, FinAbGroup, read_decimal
+from .abgroup import FinAbGroup, TooLargeError, _check_order, read_decimal
 from .intlinalg import AugqError, IntMatrix, Lattice, NotASublatticeError
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -35,7 +35,6 @@ __all__ = [
     "encode_int",
 ]
 
-DEFAULT_MAX_ORDER = 64
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -87,11 +86,6 @@ class RingSpecError(AugqError, ValueError):
     """Malformed or self-contradictory ring-spec input."""
 
     exit_code = 2
-
-
-class TooLargeError(AugqError, ValueError):
-    """A group order or a ring-spec dimension exceeds the order guard
-    (AUGQ_MAX_ORDER)."""
 
 
 @dataclass
@@ -362,8 +356,11 @@ class AugmentedRing:
         back-substitution that leaves the lattice raises
         NotASublatticeError.
 
-        When ``steps`` is a list, C_2 .. C_{max_n} are appended to it;
-        Z^r / C_n is isomorphic to I^n / I^{n+1}.
+        C_n depends only on the rows modulo d, so a step whose rows reduce
+        to a set already met in this call reuses that step's lattice, which
+        the canonical HNF makes exact.  When ``steps`` is a list, C_2 ..
+        C_{max_n} are appended to it, equal steps possibly as one Lattice
+        object; Z^r / C_n is isomorphic to I^n / I^{n+1}.
 
         Raises RankDropError when I^2 spans less than I does; the
         consecutive quotients are then not finite and the chain is no
@@ -384,6 +381,10 @@ class AugmentedRing:
         if steps is None:
             steps = []
         basis = square.basis.data
+        # a row modulo d is keyed by one int, its digits base d; the memo of
+        # step lattices lives for this call only
+        weights = [d**i for i in range(r)]
+        seen = {}
         for n in range(2, max_n + 1):
             if n == 2:
                 ops = [
@@ -396,8 +397,13 @@ class AugmentedRing:
                 raise NotASublatticeError(
                     f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"
                 )
-            rows = {tuple(row): None for op in ops for row in op}
-            step = lattice_from_generators(r, list(rows), modulus=d)
+            reduced = ([x % d for x in row] for op in ops for row in op)
+            rows = {sum(map(mul, row, weights)): row for row in reduced}
+            rows.pop(0, None)
+            key = frozenset(rows)
+            if key not in seen:
+                seen[key] = lattice_from_generators(r, list(rows.values()), modulus=d)
+            step = seen[key]
             steps.append(step)
             basis = step.times(basis)
             powers.append(lattice_from_generators(self.dim, basis))
@@ -502,26 +508,3 @@ class AugmentedRing:
                     f"conflicting symmetric entries for basis pair ({i}, {j})"
                 )
         return cls(basis, vecs, aug, identity)
-
-
-def _check_order(order, what="group order"):
-    """Raise TooLargeError when a group of this order, or a ring spec of
-    this dimension, is past the guard.
-
-    The guard is the environment variable AUGQ_MAX_ORDER, default 64, and
-    nothing else sets it.  Every constructor checks the order before it
-    lists elements or builds a table, and ``from_dict`` checks the
-    dimension before it reads a structure row: tables grow as the square of
-    the order, ``validate`` expands every basis triple, subgroup enumeration
-    can grow exponentially, and this is a desk-scale tool.
-    """
-    raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
-    max_order = read_decimal(raw)
-    if max_order is None:
-        raise BadParameterError(f"AUGQ_MAX_ORDER must be an integer, got {raw!r}")
-    if max_order < 1:
-        raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
-    if order > max_order:
-        raise TooLargeError(
-            f"{what} {order} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"
-        )

@@ -16,9 +16,11 @@ integrality is asserted rather than assumed.
 """
 
 import itertools
+import math
 
-from .abgroup import BadParameterError, FinAbGroup, ParseError, read_decimal
-from .augring import AugmentedRing, TooLargeError, _check_order
+from .abgroup import BadParameterError, FinAbGroup, ParseError, TooLargeError
+from .abgroup import _check_order, read_decimal
+from .augring import AugmentedRing
 from .intlinalg import AugqError
 
 __all__ = [
@@ -476,4 +478,7 @@ def parse_group_spec(text):
             if m < 3:
                 raise ParseError("dihedral specs need m >= 3", 0)
             return dihedral_group(m)
-    return FinAbGroup.from_spec(text)
+    orders = FinAbGroup.spec_orders(text)
+    # FinAbGroup factors every order, which can take seconds on a large one
+    _check_order(math.prod(orders))
+    return FinAbGroup(orders)

@@ -64,21 +64,25 @@ def quotient_sequence(ring, max_n=DEFAULT_MAX_N):
     """Q_1 .. Q_{max_n} from a single ideal-power run.
 
     Q_1 is I/I^2; every later Q_n is read off the step lattice C_n of the
-    run, which is I^{n+1} in coordinates of a basis of I^n.
+    run, which is I^{n+1} in coordinates of a basis of I^n.  Equal step
+    lattices give one group, whose Smith form is taken once.
     """
     steps = []
     powers = ring.ideal_powers(max_n, steps=steps)
-    invariants = [quotient_invariants(powers[0], powers[1])]
-    invariants += [smith_invariants(step.basis.data, step.rank) for step in steps]
-    out = []
-    for n, inv in enumerate(invariants, 1):
-        group = FinAbGroup(inv.factors)
-        out.append(
-            QuotientResult(
-                n=n, group=group, order=group.order(), ideal_rank=powers[n - 1].rank
-            )
+    groups = [FinAbGroup(quotient_invariants(powers[0], powers[1]).factors)]
+    by_step = {}
+    for step in steps:
+        group = by_step.get(step)
+        if group is None:
+            inv = smith_invariants(step.basis.data, step.rank)
+            group = by_step[step] = FinAbGroup(inv.factors)
+        groups.append(group)
+    return [
+        QuotientResult(
+            n=n, group=group, order=group.order(), ideal_rank=powers[n - 1].rank
         )
-    return out
+        for n, group in enumerate(groups, 1)
+    ]
 
 
 def detect_stabilization(groups, min_window=DEFAULT_MIN_WINDOW):

@@ -395,6 +395,34 @@ def test_ideal_powers_steps_on_a_stationary_chain():
     assert [s.basis.data for s in steps] == [[[1]]] * 3
 
 
+@pytest.mark.parametrize(
+    "spec,max_n,echelons", [("C4", 20, 5), ("C2xC4", 20, 5), ("C2xC2xC8", 10, 9)]
+)
+def test_ideal_powers_echelonizes_each_step_once_per_call(
+    spec, max_n, echelons, monkeypatch
+):
+    # C_2 .. C_{max_n}: C4 and C2xC4 repeat their generator rows modulo d
+    # within the chain, C2xC2xC8 never does
+    ring = group_ring(FinAbGroup.from_spec(spec))
+    calls = []
+    real = augring.lattice_from_generators
+
+    def counting(dim, generators, modulus=None):
+        if modulus is not None:
+            calls.append(modulus)
+        return real(dim, generators, modulus)
+
+    monkeypatch.setattr(augring, "lattice_from_generators", counting)
+    for _ in range(2):  # nothing is kept between calls
+        calls.clear()
+        steps = []
+        ring.ideal_powers(max_n, steps=steps)
+        assert len(steps) == max_n - 1
+        assert len(calls) == echelons
+        # a recurring step is the lattice object echelonized the first time
+        assert len({id(step) for step in steps}) == echelons
+
+
 def test_ideal_powers_rejects_a_step_not_closed_under_the_generators(monkeypatch):
     # shrinking each step lattice by 3 in one direction leaves a lattice the
     # generators do not map into itself; the back-substitution must notice

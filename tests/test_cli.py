@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import augq
-from augq import AugmentedRing, AugqError, ValidationReport, constructors, stabilize
+from augq import AugmentedRing, AugqError, ValidationReport, abgroup, constructors
+from augq import stabilize
 from augq import cli
 from augq.cli import main
 from augq.constructors import MarksMatrix
@@ -412,6 +413,24 @@ def test_classify_rejects_a_far_rise_at_once():
     assert "not non-increasing at p=2, s=1000000000000" in done.stderr
 
 
+def test_classify_bounds_the_rank_of_a_profile(capsys, monkeypatch):
+    # every Q_n augq computes has rank below the ring dimension, which the
+    # order guard bounds; a larger rank would be listed factor by factor
+    code, out, err = run(capsys, "classify", "--profile", '{"2,0": 3000000}')
+    assert (code, out) == (1, "")
+    assert err == "augq: 2-rank 3000000 exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
+    code, out, _ = run(capsys, "classify", "--profile", '{"3,0": 64, "2,0": 1}')
+    assert code == 0
+    assert json.loads(out) == [3] * 63 + [6]
+    monkeypatch.setenv("AUGQ_MAX_ORDER", "63")
+    code, out, err = run(capsys, "classify", "--profile", '{"3,0": 64}')
+    assert (code, out) == (1, "")
+    assert err == "augq: 3-rank 64 exceeds the order guard 63 (AUGQ_MAX_ORDER)\n"
+    code, out, _ = run(capsys, "classify", "--profile", '{"3,0": 64, "3,1": 1}')
+    assert code == 0
+    assert json.loads(out) == [3] * 62 + [9]
+
+
 def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
     monkeypatch.setenv("AUGQ_MAX_ORDER", "-5")
     code, _, err = run(capsys, "qn", "--group", "S3", "--family", "burnside")
@@ -460,6 +479,22 @@ def test_order_guard_fires_before_any_table(capsys, family, spec, order):
     assert out == ""
     assert err == (
         f"augq: group order {order} exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
+    )
+
+
+@pytest.mark.parametrize("family", ["group-ring", "rep", "burnside"])
+def test_order_guard_fires_before_any_factoring(capsys, monkeypatch, family):
+    # a product of two 16-digit primes: Pollard rho spends seconds on it
+    spec = "C1000000000000128000000000003367"
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before the order guard")
+
+    monkeypatch.setattr(abgroup, "_factorint", no_factoring)
+    code, out, err = run(capsys, "qn", "--group", spec, "--family", family)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"augq: group order {spec[1:]} exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
     )
 
 

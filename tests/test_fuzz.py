@@ -1,4 +1,5 @@
-"""Seeded fuzz of the command line with mutated group specs and ring specs.
+"""Seeded fuzz of the command line with mutated group specs, ring specs and
+valuation profiles.
 
 Every call must end in one of the documented exit codes 0-3: an exception
 that escapes ``main`` is a traceback for the user.  The order guard is
@@ -45,17 +46,17 @@ def _exit_code(argv):
         pytest.fail(f"augq {' '.join(argv)!r} raised {exc!r}")
 
 
-def _mutate_text(rng, text):
+def _mutate_text(rng, text, alphabet=SPEC_ALPHABET):
     chars = list(text)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(chars) + 1)
         op = rng.randrange(3) if chars else 0
         if op == 0:
-            chars.insert(i, rng.choice(SPEC_ALPHABET))
+            chars.insert(i, rng.choice(alphabet))
         elif op == 1:
             del chars[min(i, len(chars) - 1)]
         else:
-            chars[min(i, len(chars) - 1)] = rng.choice(SPEC_ALPHABET)
+            chars[min(i, len(chars) - 1)] = rng.choice(alphabet)
     return "".join(chars)
 
 
@@ -121,3 +122,43 @@ def test_fuzz_ring_specs(capsys, tmp_path):
             argv = command + ["--ring", str(path), "--format", "json"]
             assert _exit_code(argv) in EXIT_CODES, (argv, path.read_text())
             capsys.readouterr()
+
+
+# profiles of C2xC4xC3, C8xC9x(C5)^4 and the trivial group, as classify reads them
+PROFILE_GROUPS = ((2, 4, 3), (8, 9, 5, 5, 5, 5), ())
+PROFILE_ALPHABET = "0123456789,-_+ ²١"
+
+
+def _mutate_profile(rng, profile):
+    """Drop a key, replace a value, mutate a key's text or add a key "p,s"."""
+    profile = dict(profile)
+    keys = sorted(profile)
+    op = rng.randrange(4) if keys else 3
+    if op == 3:
+        key = f"{rng.choice((2, 3, 4, 5, 7))},{rng.randrange(6)}"
+        profile[key] = rng.choice(FIELD_VALUES + tuple(range(20)))
+        return profile
+    key = rng.choice(keys)
+    if op == 0:
+        del profile[key]
+    elif op == 1:
+        profile[key] = rng.choice(FIELD_VALUES)
+    else:
+        profile[_mutate_text(rng, key, PROFILE_ALPHABET)] = profile.pop(key)
+    return profile
+
+
+def test_fuzz_valuation_profiles(capsys):
+    rng = random.Random(10)
+    bases = [
+        FinAbGroup(orders).valuation_profile().to_json_mapping()
+        for orders in PROFILE_GROUPS
+    ]
+    for _ in range(CALLS):
+        profile = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            profile = _mutate_profile(rng, profile)
+        fmt = rng.choice(("table", "json", "csv"))
+        argv = ["classify", "--profile", json.dumps(profile), "--format", fmt]
+        assert _exit_code(argv) in EXIT_CODES, argv
+        capsys.readouterr()

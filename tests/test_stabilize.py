@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from augq import abgroup
+from augq import abgroup, stabilize
 from augq.abgroup import FinAbGroup
 from augq.augring import AugmentedRing
 from augq.constructors import burnside_ring, cayley_from_abelian, group_ring
@@ -123,6 +123,30 @@ def test_lambda_diagnostics_values_once_per_distinct_group(family, spec, monkeyp
     monkeypatch.undo()
     for (p, s), row in table.items():
         assert row == tuple(q.group.p_power_valuation(p, s) for q in seq)
+
+
+@pytest.mark.parametrize(
+    "spec,max_n,smith_forms", [("C4", 20, 3), ("C2xC4", 20, 4), ("C2xC2xC8", 10, 9)]
+)
+def test_quotient_sequence_takes_one_smith_form_per_distinct_step(
+    spec, max_n, smith_forms, monkeypatch
+):
+    # C2xC4 has two equal step lattices that come from different rows, so
+    # they are distinct objects with one group
+    ring = group_ring(FinAbGroup.from_spec(spec))
+    calls = []
+    real = stabilize.smith_invariants
+
+    def counting(rows, ncols):
+        calls.append(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(stabilize, "smith_invariants", counting)
+    for _ in range(2):  # nothing is kept between calls
+        calls.clear()
+        seq = quotient_sequence(ring, max_n)
+        assert len(calls) == smith_forms
+        assert len({id(q.group) for q in seq[1:]}) == smith_forms
 
 
 def test_build_report_factors_each_invariant_factor_once(monkeypatch):
