@@ -1,16 +1,17 @@
 """Finite abelian groups in canonical invariant-factor form.
 
 The canonical form turns isomorphism testing into structural equality: the
-constructor accepts any multiset of cyclic orders and rewrites it, through
-the primary decomposition, as the unique ascending divisibility chain.
+constructor accepts any multiset of cyclic orders and rewrites it, by
+pairwise gcd and lcm and without factoring, as the unique ascending
+divisibility chain.
 
 Beyond classification the module carries the small calculus used by the
 quotient diagnostics: the p-adic valuation of the group order, Sylow
 pieces, multiplication by p^s, and the profile of valuations of all the
-p^s-multiples, together with its exact inverse.
+p^s-multiples, together with its exact inverse; these find the exponents
+of a prime in the invariant factors by division.
 """
 
-import functools
 import os
 import random
 import re
@@ -89,12 +90,11 @@ def _check_order(order, what="group order"):
 
     The guard is the environment variable AUGQ_MAX_ORDER, default 64, and
     nothing else sets it.  Every constructor checks the order before it
-    lists elements or builds a table, ``parse_group_spec`` before it
-    factors a cyclic order, ``from_dict`` checks the dimension before it
-    reads a structure row, and ``from_valuation_profile`` each p-rank
-    before it lists a cyclic factor: tables grow as the square of the
-    order, ``validate`` expands every basis triple, subgroup enumeration
-    can grow exponentially, and this is a desk-scale tool.
+    lists elements or builds a table, ``from_dict`` checks the dimension
+    before it reads a structure row, and ``from_valuation_profile`` each
+    p-rank before it lists a cyclic factor: tables grow as the square of
+    the order, ``validate`` expands every basis triple, subgroup
+    enumeration can grow exponentially, and this is a desk-scale tool.
     """
     raw = os.environ.get("AUGQ_MAX_ORDER", str(DEFAULT_MAX_ORDER))
     max_order = read_decimal(raw)
@@ -194,8 +194,14 @@ def _rho_divisor(n):
             return g
 
 
-@functools.lru_cache(maxsize=4096)
-def _factor_items(n):
+def _factorint(n):
+    """Prime factorization as a dict prime -> exponent, primes ascending.
+
+    Short trial division, then Pollard rho on the cofactor with
+    ``_is_prime`` deciding its pieces.  A piece that rho cannot split within
+    its step cap, or that ``_is_prime`` cannot decide, raises
+    BadParameterError naming it.
+    """
     out, m = _trial_division(n)
     pending = [m] if m > 1 else []
     while pending:
@@ -205,19 +211,7 @@ def _factor_items(n):
         else:
             f = _rho_divisor(m)
             pending += [f, m // f]
-    return tuple(sorted(out.items()))
-
-
-def _factorint(n):
-    """Prime factorization as a fresh dict prime -> exponent, primes ascending.
-
-    Short trial division, then Pollard rho on the cofactor with
-    ``_is_prime`` deciding its pieces.  A piece that rho cannot split within
-    its step cap, or that ``_is_prime`` cannot decide, raises
-    BadParameterError naming it.  The factorizations are memoized: a scan
-    meets the same invariant factors once per quotient.
-    """
-    return dict(_factor_items(n))
+    return dict(sorted(out.items()))
 
 
 class FinAbGroup:
@@ -231,32 +225,19 @@ class FinAbGroup:
     True
     """
 
-    __slots__ = ("_factors", "_primary")
+    __slots__ = ("_factors",)
 
     def __init__(self, orders=()):
-        primary = {}
-        for o in orders:
-            o = int(o)
-            if o < 1:
-                raise ValueError("cyclic orders must be positive")
-            if o == 1:
-                continue
-            for p, e in _factorint(o).items():
-                primary.setdefault(p, []).append(e)
-        for p in primary:
-            primary[p].sort(reverse=True)
-        depth = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for t in range(depth):
-            f = 1
-            for p in primary:
-                exps = primary[p]
-                if t < len(exps):
-                    f *= p ** exps[t]
-            factors.append(f)
-        factors.reverse()
-        self._factors = tuple(factors)
-        self._primary = {p: tuple(v) for p, v in sorted(primary.items())}
+        factors = [o for o in map(int, orders) if o != 1]
+        if any(o < 1 for o in factors):
+            raise ValueError("cyclic orders must be positive")
+        # Z/a + Z/b = Z/gcd + Z/lcm; pass i leaves the gcd of entries i.. at i
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a // g * b
+        self._factors = tuple(f for f in factors if f > 1)
 
     @property
     def invariant_factors(self):
@@ -271,29 +252,39 @@ class FinAbGroup:
     def is_trivial(self):
         return not self._factors
 
+    def _exponents(self, p):
+        """The exponent of p in each invariant factor, found by division; all
+        0 for p < 2, which no number of divisions would use up."""
+        exps = []
+        for f in self._factors:
+            e = 0
+            while p > 1 and f % p == 0:
+                f //= p
+                e += 1
+            exps.append(e)
+        return exps
+
     def p_valuation(self, p):
         """Exponent of the prime p in the group order."""
         if not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        exps = self._primary.get(p)
-        return sum(exps) if exps else 0
+        return sum(self._exponents(p))
 
     def p_power_valuation(self, p, s):
         """Exponent of the prime p in |p^s G|, for a shift s >= 0.
 
         Each cyclic piece of order p^e becomes one of order p^max(e-s, 0)
-        under multiplication by p^s, so the value is read off the primary
-        exponents without building p^s G.  It is 0 for any p that does not
-        divide |G|; p is not tested for primality.
+        under multiplication by p^s, so the value is read off the exponents
+        of p in the invariant factors without building p^s G.  It is 0 for
+        any p that does not divide |G|; p is not tested for primality.
         """
-        return sum(e - s for e in self._primary.get(p, ()) if e > s)
+        return sum(e - s for e in self._exponents(p) if e > s)
 
     def sylow(self, p):
         """The p-part: the subgroup of elements of p-power order."""
         if not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        exps = self._primary.get(p, ())
-        return FinAbGroup([p**e for e in exps])
+        return FinAbGroup([p**e for e in self._exponents(p)])
 
     def p_power_multiply(self, p, s):
         """The subgroup p^s * G.
@@ -308,20 +299,15 @@ class FinAbGroup:
             raise ValueError("shift must be a nonnegative integer")
         if s == 0:
             return self
-        orders = []
-        for f in self._factors:
-            e = 0
-            while f % p == 0:
-                f //= p
-                e += 1
-            orders.append(p ** max(e - s, 0) * f)
-        return FinAbGroup(orders)
+        pairs = zip(self._factors, self._exponents(p))
+        return FinAbGroup([f // p ** min(e, s) for f, e in pairs])
 
     def valuation_profile(self):
-        """Profile {(p, s): v_p(|p^s G|)} over all entries that are nonzero."""
+        """Profile {(p, s): v_p(|p^s G|)} over all entries that are nonzero;
+        the largest invariant factor is the one number factored."""
         entries = {}
-        for p, exps in self._primary.items():
-            for s in range(exps[0]):
+        for p, top in _factorint(max(self._factors, default=1)).items():
+            for s in range(top):
                 entries[(p, s)] = self.p_power_valuation(p, s)
         return ValuationProfile(entries)
 
@@ -372,17 +358,8 @@ class FinAbGroup:
     def from_spec(cls, text):
         """Parse the abelian group grammar: "1", "C<n>" with n >= 2, or
         products of the latter joined by "x" (e.g. "C2xC4")."""
-        return cls(cls.spec_orders(text))
-
-    @staticmethod
-    def spec_orders(text):
-        """The cyclic orders that a ``from_spec`` spec names, unfactored.
-
-        >>> FinAbGroup.spec_orders("C2xC6")
-        [2, 6]
-        """
         if text == "1":
-            return []
+            return cls()
         orders = []
         pos = 0
         for token in text.split("x"):
@@ -393,7 +370,7 @@ class FinAbGroup:
                 raise ParseError(f"cyclic order must be >= 2, got {token!r}", pos)
             orders.append(n)
             pos += len(token) + 1
-        return orders
+        return cls(orders)
 
     def __eq__(self, other):
         if not isinstance(other, FinAbGroup):

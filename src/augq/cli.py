@@ -160,13 +160,24 @@ def build_parser():
 # -- input plumbing ----------------------------------------------------------
 
 
-def _load_json_file(path):
+# what json.loads raises on bad text: JSONDecodeError, a ValueError for an
+# integer past int()'s digit limit, or RecursionError for deep nesting
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
         raise CliError(f"cannot read {path}: {exc}", 2)
-    except json.JSONDecodeError as exc:
+
+
+def _load_json_file(path):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except _JSON_ERRORS as exc:
         raise CliError(f"{path}: malformed JSON: {exc}", 2)
 
 
@@ -370,7 +381,7 @@ def cmd_classify(args):
     if raw.lstrip().startswith("{"):
         try:
             mapping = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise CliError(f"malformed profile JSON: {exc}", 2)
     else:
         mapping = _load_json_file(raw)
@@ -443,11 +454,7 @@ CORPUS_HEADER = [
 
 
 def _corpus_entries(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}", 2)
+    lines = _read_text(path).splitlines()
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     for lineno, line in enumerate(lines, 1):

@@ -16,7 +16,6 @@ integrality is asserted rather than assumed.
 """
 
 import itertools
-import math
 
 from .abgroup import BadParameterError, FinAbGroup, ParseError, TooLargeError
 from .abgroup import _check_order, read_decimal
@@ -68,6 +67,8 @@ class CayleyGroup:
         n = len(table)
         if n == 0:
             raise CayleyTableError("empty multiplication table")
+        if not all(isinstance(r, (list, tuple)) for r in table):
+            raise CayleyTableError("multiplication table rows must be arrays")
         rows = [list(r) for r in table]
         for r in rows:
             if len(r) != n:
@@ -120,7 +121,7 @@ class CayleyGroup:
             table = d["table"]
         except KeyError as exc:
             raise CayleyTableError(f"Cayley spec is missing {exc.args[0]!r}")
-        if not isinstance(order, int) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise CayleyTableError("'order' must be a positive integer")
         _check_order(order)
         if not isinstance(table, list) or len(table) != order:
@@ -478,7 +479,4 @@ def parse_group_spec(text):
             if m < 3:
                 raise ParseError("dihedral specs need m >= 3", 0)
             return dihedral_group(m)
-    orders = FinAbGroup.spec_orders(text)
-    # FinAbGroup factors every order, which can take seconds on a large one
-    _check_order(math.prod(orders))
-    return FinAbGroup(orders)
+    return FinAbGroup.from_spec(text)

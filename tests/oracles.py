@@ -171,6 +171,34 @@ def valuation_by_multiplication(g, p, s):
     return g.p_power_multiply(p, s).p_valuation(p)
 
 
+def invariant_factors_primary(orders):
+    """Invariant factors through the primary decomposition: split every
+    cyclic order into prime powers by trial division, sort each prime's
+    exponents descending, and multiply the t-th largest powers of every
+    prime into the t-th largest factor.  Returned ascending."""
+    exponents = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n  # what is left is prime
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    factors = []
+    for p, exps in exponents.items():
+        exps.sort(reverse=True)
+        for t, e in enumerate(exps):
+            if t == len(factors):
+                factors.append(1)
+            factors[t] *= p**e
+    return tuple(reversed(factors))
+
+
 def is_prime_trial(n):
     """Primality by trial division up to the square root."""
     if n < 2:

@@ -13,7 +13,12 @@ from augq.abgroup import (
     random_group,
     random_subgroup_quotient,
 )
-from oracles import is_prime_trial, valuation_by_multiplication, valuation_from_factors
+from oracles import (
+    invariant_factors_primary,
+    is_prime_trial,
+    valuation_by_multiplication,
+    valuation_from_factors,
+)
 
 
 def test_canonicalization():
@@ -26,6 +31,25 @@ def test_canonicalization():
         FinAbGroup([0])
     with pytest.raises(ValueError):
         FinAbGroup([-2])
+
+
+def test_canonical_form_matches_the_primary_decomposition(monkeypatch):
+    # unsorted, repeated and non-coprime orders up to 10^6, built without
+    # factoring anything
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abgroup, "_factorint", no_factoring)
+    rng = random.Random(12)
+    for _ in range(400):
+        pool = [rng.randint(1, 10**5) for _ in range(3)] + [1, 2, 12, 36]
+        orders = [
+            rng.choice(pool) * rng.choice((1, 2, 3, 4, 6, 10))
+            for _ in range(rng.randint(0, 7))
+        ]
+        g = FinAbGroup(orders)
+        assert g.invariant_factors == invariant_factors_primary(orders), orders
+        assert g == FinAbGroup(reversed(orders))
 
 
 def test_order_and_triviality():
@@ -250,7 +274,6 @@ def test_factorint_splits_large_cofactors(monkeypatch):
     }
     # past the step cap rho gives up, naming the number it could not split
     monkeypatch.setattr(abgroup, "_RHO_MAX_STEPS", 64)
-    abgroup._factor_items.cache_clear()
     n = 1000003 * 1000033
     with pytest.raises(BadParameterError, match=f"cannot factor {n}"):
         abgroup._factorint(3 * n)

@@ -202,6 +202,23 @@ def test_marks_bad_table(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize("row", [5, None, True, 1.5, "01"])
+def test_marks_table_rows_must_be_arrays(capsys, tmp_path, row):
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps({"order": 2, "table": [[0, 1], row]}))
+    code, out, err = run(capsys, "marks", "--group", str(table))
+    assert (code, out) == (2, "")
+    assert err == f"augq: {table}: multiplication table rows must be arrays\n"
+
+
+def test_marks_order_must_not_be_a_boolean(capsys, tmp_path):
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps({"order": True, "table": [[0]]}))
+    code, out, err = run(capsys, "marks", "--group", str(table))
+    assert (code, out) == (2, "")
+    assert err == f"augq: {table}: 'order' must be a positive integer\n"
+
+
 def test_ring_group_mutually_exclusive(capsys):
     code, _, err = run(capsys, "validate", "--ring", "C2", "--group", "C2")
     assert code == 2
@@ -312,6 +329,34 @@ def test_corpus_non_decimal_spec_is_an_error_row(capsys, tmp_path):
     assert lines[3].startswith("burnside:C2,ok,")
 
 
+def test_corpus_path_with_a_nul_byte_is_an_error_row(capsys, tmp_path):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("ring a\0b.json\ngroup-ring C2\n")
+    code, out, _ = run(capsys, "corpus", str(corpus), "--max-n", "6", "--window", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1] == (
+        f"ring:a\0b,error,,,,,,,cannot read {tmp_path / 'a'}\0b.json: "
+        "embedded null byte"
+    )
+    assert lines[2].startswith("group-ring:C2,ok,")
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"basis": ' + "1" * 5000 + "}"], ids=["deep", "long-int"]
+)
+def test_json_past_the_parser_limits_is_malformed(capsys, tmp_path, text):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--ring", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"augq: {path}: malformed JSON: ")
+    code, out, err = run(capsys, "classify", "--profile", "{" + text[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("augq: malformed profile JSON: ")
+
+
 def test_corpus_bad_line(capsys, tmp_path):
     corpus = tmp_path / "rings.txt"
     corpus.write_text("group-ring C2 extra\n")
@@ -376,6 +421,32 @@ def test_qn_factors_a_large_prime_power_invariant_factor(capsys, tmp_path):
     code, out, _ = run(capsys, "qn", "--ring", str(path), "--max-n", "1")
     assert code == 0
     assert out.splitlines()[-1].split() == ["1", f"[{big}]", str(big)]
+
+
+def test_qn_does_not_factor_its_quotients(capsys, monkeypatch, tmp_path):
+    # x*x = N x with N a product of two 16-digit primes: Q_n = Z/N for every
+    # n, and only the valuation table of stabilize needs the primes of N
+    big = 1125899906842679 * 2251799813685269
+    spec = {
+        "basis": ["1", "x"],
+        "identity": 0,
+        "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, big]],
+        "augmentation": [1, 0],
+    }
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setattr(abgroup, "_RHO_MAX_STEPS", 64)
+    argv = ["--ring", str(path), "--max-n", "3"]
+    code, out, _ = run(capsys, "qn", *argv, "--format", "csv")
+    assert code == 0
+    assert out == "ring_id,n,invariants,order\n" + "".join(
+        f"ring:semiprime,{n},{big},{big}\n" for n in (1, 2, 3)
+    )
+    code, out, err = run(capsys, "stabilize", *argv, "--window", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"augq: cannot factor {big}: Pollard rho found no divisor within 64 steps\n"
+    )
 
 
 def test_out_flag_unwritable_path(capsys, tmp_path):

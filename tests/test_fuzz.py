@@ -1,5 +1,5 @@
-"""Seeded fuzz of the command line with mutated group specs, ring specs and
-valuation profiles.
+"""Seeded fuzz of the command line with mutated group specs, ring specs,
+valuation profiles, Cayley-table files and corpus files.
 
 Every call must end in one of the documented exit codes 0-3: an exception
 that escapes ``main`` is a traceback for the user.  The order guard is
@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from augq import FinAbGroup, burnside_ring, group_ring, rep_ring_dihedral
-from augq import symmetric_group
+from augq import FinAbGroup, burnside_ring, cayley_from_abelian, group_ring
+from augq import rep_ring_dihedral, symmetric_group
 from augq.cli import main
 
 EXIT_CODES = (0, 1, 2, 3)
@@ -161,4 +161,72 @@ def test_fuzz_valuation_profiles(capsys):
         fmt = rng.choice(("table", "json", "csv"))
         argv = ["classify", "--profile", json.dumps(profile), "--format", fmt]
         assert _exit_code(argv) in EXIT_CODES, argv
+        capsys.readouterr()
+
+
+def _mutate_table(rng, spec):
+    """Replace, drop or retype one row, replace one entry, or mistype "order"."""
+    spec = json.loads(json.dumps(spec))
+    table = spec["table"]
+    op = rng.randrange(5) if table else 4
+    if op == 4:
+        spec["order"] = rng.choice(FIELD_VALUES)
+        return spec
+    i = rng.randrange(len(table))
+    row = table[i]
+    if op == 1:
+        del table[i]
+    elif op == 2 and isinstance(row, list):
+        table[i] = rng.choice(([str(x) for x in row], dict.fromkeys(map(str, row))))
+    elif op == 3 and isinstance(row, list) and row:
+        row[rng.randrange(len(row))] = rng.choice(FIELD_VALUES)
+    else:
+        table[i] = rng.choice(FIELD_VALUES)
+    return spec
+
+
+def test_fuzz_cayley_tables(capsys, tmp_path):
+    rng = random.Random(11)
+    bases = [
+        cayley_from_abelian(FinAbGroup([2])).to_dict(),
+        cayley_from_abelian(FinAbGroup([2, 2])).to_dict(),
+        symmetric_group(3).to_dict(),
+    ]
+    path = tmp_path / "group.json"
+    for _ in range(CALLS):
+        spec = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            spec = _mutate_table(rng, spec)
+        path.write_text(json.dumps(spec))
+        fmt = rng.choice(("table", "json", "csv"))
+        argv = ["marks", "--group", str(path), "--format", fmt]
+        assert _exit_code(argv) in EXIT_CODES, (argv, path.read_text())
+        capsys.readouterr()
+
+
+CORPUS_LINES = (
+    "group-ring C2", "burnside C3", "rep D3", "ring c2.json", "ring dual.json",
+    "# comment", "",
+)
+# spec and path characters, whitespace, a NUL, a newline and a comment mark
+CORPUS_ALPHABET = "0123456789CDSx-_. /#\t\0\n²"
+
+
+def test_fuzz_corpus_files(capsys, tmp_path):
+    rng = random.Random(12)
+    (tmp_path / "c2.json").write_text(json.dumps(group_ring(FinAbGroup([2])).to_dict()))
+    (tmp_path / "dual.json").write_text(json.dumps(_base_specs()[-1]))
+    path = tmp_path / "corpus.txt"
+    for _ in range(CALLS // 2):
+        lines = [rng.choice(CORPUS_LINES) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(lines))
+            lines[i] = _mutate_text(rng, lines[i], CORPUS_ALPHABET)
+        text = "\n".join(lines)
+        if rng.randrange(10) == 0:  # not UTF-8
+            path.write_bytes(text.encode() + b"\xff")
+        else:
+            path.write_text(text)
+        argv = ["corpus", str(path), "--max-n", "3", "--window", "2"]
+        assert _exit_code(argv) in EXIT_CODES, (argv, path.read_bytes())
         capsys.readouterr()

@@ -19,7 +19,7 @@ from augq.stabilize import (
     report_to_json,
     verify_bound,
 )
-from conftest import build_corpus_ring
+from conftest import build_corpus_ring, corpus_ring_specs
 from oracles import valuation_by_multiplication
 
 
@@ -149,6 +149,17 @@ def test_quotient_sequence_takes_one_smith_form_per_distinct_step(
         assert len({id(q.group) for q in seq[1:]}) == smith_forms
 
 
+def test_quotient_sequence_factors_nothing(corpus_reports, monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abgroup, "_factorint", no_factoring)
+    for family, spec in corpus_ring_specs():
+        report = corpus_reports[f"{family}:{spec}"]
+        seq = quotient_sequence(build_corpus_ring(family, spec), 8)
+        assert seq == report.quotients[:8], (family, spec)
+
+
 def test_build_report_factors_each_invariant_factor_once(monkeypatch):
     # x*x = (2^64 + 1) x, so Q_n = Z/(2^64 + 1) for every n and d = 2^64 + 1
     big = 2**64 + 1
@@ -163,7 +174,6 @@ def test_build_report_factors_each_invariant_factor_once(monkeypatch):
         return trial(n)
 
     monkeypatch.setattr(abgroup, "_trial_division", counting_trial)
-    abgroup._factor_items.cache_clear()
     report = build_report(ring, "big", max_n=8)
     assert [q.group for q in report.quotients] == [G(big)] * 8
     assert set(report.lambda_table) == {
