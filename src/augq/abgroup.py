@@ -2,7 +2,7 @@
 
 The canonical form turns isomorphism testing into structural equality: the
 constructor accepts any multiset of cyclic orders and rewrites it, by
-pairwise gcd and lcm and without factoring, as the unique ascending
+gcd and lcm steps and without factoring, as the unique ascending
 divisibility chain.
 
 Beyond classification the module carries the small calculus used by the
@@ -15,6 +15,7 @@ of a prime in the invariant factors by division.
 import os
 import random
 import re
+from bisect import bisect_left
 from math import gcd
 
 from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
@@ -103,8 +104,12 @@ def _check_order(order, what="group order"):
     if max_order < 1:
         raise BadParameterError(f"AUGQ_MAX_ORDER must be at least 1, got {raw!r}")
     if order > max_order:
+        try:
+            shown = str(order)
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"of {order.bit_length()} bits"
         raise TooLargeError(
-            f"{what} {order} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"
+            f"{what} {shown} exceeds the order guard {max_order} (AUGQ_MAX_ORDER)"
         )
 
 
@@ -228,16 +233,24 @@ class FinAbGroup:
     __slots__ = ("_factors",)
 
     def __init__(self, orders=()):
-        factors = [o for o in map(int, orders) if o != 1]
-        if any(o < 1 for o in factors):
+        orders = sorted(map(int, orders), reverse=True)
+        if orders and orders[-1] < 1:
             raise ValueError("cyclic orders must be positive")
-        # Z/a + Z/b = Z/gcd + Z/lcm; pass i leaves the gcd of entries i.. at i
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                g = gcd(a, b)
-                factors[i], factors[j] = g, a // g * b
-        self._factors = tuple(f for f in factors if f > 1)
+        chain = []  # invariant factors so far, largest first
+        for o in orders:
+            # Z/c + Z/o = Z/lcm + Z/gcd, the gcd going on down the chain.  The
+            # multiples of o come first and pass it on whole, so they are
+            # skipped; any other entry leaves a proper divisor of o.
+            j = 0
+            while o > 1:
+                j = bisect_left(chain, True, j, key=lambda c: c % o != 0)
+                if j == len(chain):
+                    chain.append(o)
+                    break
+                g = gcd(chain[j], o)
+                chain[j], o = chain[j] // g * o, g
+                j += 1
+        self._factors = tuple(reversed(chain))
 
     @property
     def invariant_factors(self):
@@ -276,7 +289,9 @@ class FinAbGroup:
         Each cyclic piece of order p^e becomes one of order p^max(e-s, 0)
         under multiplication by p^s, so the value is read off the exponents
         of p in the invariant factors without building p^s G.  It is 0 for
-        any p that does not divide |G|; p is not tested for primality.
+        any p that does not divide |G|.  p is not tested for primality: for
+        a composite p the exponents count divisions by p itself, so the
+        value is no valuation.
         """
         return sum(e - s for e in self._exponents(p) if e > s)
 
@@ -322,7 +337,7 @@ class FinAbGroup:
         means no group realizes the profile.  The p-rank sigma_0 - sigma_1,
         the number of cyclic p-power factors, is bounded by the order guard.
         """
-        orders = []
+        factors = []  # invariant factors, largest first, built prime by prime
         by_prime = {}
         for (p, s), val in profile.items():
             by_prime.setdefault(p, {})[s] = val
@@ -336,14 +351,19 @@ class FinAbGroup:
                         f"profile is not non-increasing at p={p}, s={s}"
                     )
             _check_order(sigma.get(0, 0) - sigma.get(1, 0), what=f"{p}-rank")
+            powers = []
             for k in range(1, max(sigma) + 2):
                 mult = sigma.get(k - 1, 0) - 2 * sigma.get(k, 0) + sigma.get(k + 1, 0)
                 if mult < 0:
                     raise InconsistentProfileError(
                         f"profile forces a negative multiplicity at p={p}, exponent {k}"
                     )
-                orders.extend([p**k] * mult)
-        return cls(orders)
+                powers.extend([p**k] * mult)
+            # the t-th largest invariant factor takes the t-th largest p-power
+            factors.extend([1] * (len(powers) - len(factors)))
+            for t, q in enumerate(reversed(powers)):
+                factors[t] *= q
+        return cls(factors)
 
     def is_isomorphic(self, other):
         return self._factors == other._factors

@@ -50,6 +50,10 @@ def test_canonical_form_matches_the_primary_decomposition(monkeypatch):
         g = FinAbGroup(orders)
         assert g.invariant_factors == invariant_factors_primary(orders), orders
         assert g == FinAbGroup(reversed(orders))
+    # long lists from a few small orders: deep chains, many repeats
+    for _ in range(100):
+        orders = [rng.choice((2, 3, 4, 6, 8, 9, 12, 36)) for _ in range(rng.randint(0, 40))]
+        assert FinAbGroup(orders).invariant_factors == invariant_factors_primary(orders)
 
 
 def test_order_and_triviality():
@@ -208,6 +212,13 @@ def test_p_power_valuation_matches_multiplication():
         for p in (2, 3, 5, 7, 11, 13, 31, 61):
             for s in range(8):
                 assert g.p_power_valuation(p, s) == valuation_by_multiplication(g, p, s)
+
+
+def test_p_power_valuation_of_a_composite_counts_divisions():
+    # p is not tested for primality: the exponents count divisions by p
+    assert FinAbGroup([8, 4]).p_power_valuation(4, 0) == 2
+    assert FinAbGroup([8]).p_power_valuation(4, 0) == 1
+    assert FinAbGroup([8]).p_power_valuation(6, 0) == 0
 
 
 def test_valuation_profile_matches_multiplication():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -502,6 +503,29 @@ def test_classify_bounds_the_rank_of_a_profile(capsys, monkeypatch):
     assert json.loads(out) == [3] * 62 + [9]
 
 
+def first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_classify_many_primes_in_linear_time(capsys):
+    # every p-rank is at the guard, so the profile passes it: 64,000 cyclic
+    # orders whose invariant factors are 64 copies of an 11,400-bit number
+    primes = first_primes(1000)
+    profile = json.dumps({f"{p},0": 64 for p in primes})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "--profile", profile)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == [augq.FinAbGroup(primes).order()] * 64
+    assert elapsed < 5, f"classify took {elapsed:.1f} s"
+
+
 def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
     monkeypatch.setenv("AUGQ_MAX_ORDER", "-5")
     code, _, err = run(capsys, "qn", "--group", "S3", "--family", "burnside")
@@ -567,6 +591,22 @@ def test_order_guard_fires_before_any_factoring(capsys, monkeypatch, family):
     assert err == (
         f"augq: group order {spec[1:]} exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
     )
+
+
+@pytest.mark.parametrize("factor,count", [("C2", 40000), ("C6", 30000)])
+def test_order_guard_on_a_long_product_spec(capsys, factor, count):
+    # building the group is near-linear in the number of factors, and an
+    # order past Python's int-to-str digit limit is named by its bit length
+    spec = "x".join([factor] * count)
+    bits = (int(factor[1:]) ** count).bit_length()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qn", "--group", spec, "--family", "group-ring")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err == (
+        f"augq: group order of {bits} bits exceeds the order guard 64 (AUGQ_MAX_ORDER)\n"
+    )
+    assert elapsed < 5, f"qn took {elapsed:.1f} s"
 
 
 def test_order_guard_covers_ring_specs(capsys, monkeypatch, tmp_path):
