@@ -31,6 +31,7 @@ __all__ = [
     "random_group",
     "random_subgroup_quotient",
     "read_decimal",
+    "write_decimal",
 ]
 
 
@@ -61,7 +62,7 @@ class ParseError(AugqError, ValueError):
 
 class TooLargeError(AugqError, ValueError):
     """A group order, a ring-spec dimension or a profile's p-rank exceeds the
-    order guard (AUGQ_MAX_ORDER)."""
+    order guard (AUGQ_MAX_ORDER), or an output integer has too many digits."""
 
 
 DEFAULT_MAX_ORDER = 64
@@ -83,6 +84,18 @@ def read_decimal(text):
     except ValueError:  # more digits than int() accepts
         pass
     return None
+
+
+def write_decimal(n):
+    """The decimal text of ``n``: the inverse of ``read_decimal``, and the one
+    writer of every integer output as text.  An integer with more digits than
+    int-to-str conversion allows raises TooLargeError naming its bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        raise TooLargeError(
+            f"integer of {n.bit_length()} bits is too long to write in decimal"
+        ) from None
 
 
 def _check_order(order, what="group order"):
@@ -230,7 +243,7 @@ class FinAbGroup:
     True
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_factors", "_kept_exponents")
 
     def __init__(self, orders=()):
         orders = sorted(map(int, orders), reverse=True)
@@ -251,6 +264,7 @@ class FinAbGroup:
                 chain[j], o = chain[j] // g * o, g
                 j += 1
         self._factors = tuple(reversed(chain))
+        self._kept_exponents = {}  # p -> _exponents(p), for p_power_valuation
 
     @property
     def invariant_factors(self):
@@ -291,9 +305,13 @@ class FinAbGroup:
         of p in the invariant factors without building p^s G.  It is 0 for
         any p that does not divide |G|.  p is not tested for primality: for
         a composite p the exponents count divisions by p itself, so the
-        value is no valuation.
+        value is no valuation.  The exponents are found once per p and
+        kept, so a sweep over s divides only once.
         """
-        return sum(e - s for e in self._exponents(p) if e > s)
+        exps = self._kept_exponents.get(p)
+        if exps is None:
+            exps = self._kept_exponents[p] = self._exponents(p)
+        return sum(e - s for e in exps if e > s)
 
     def sylow(self, p):
         """The p-part: the subgroup of elements of p-power order."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .abgroup import FinAbGroup, TooLargeError, _check_order, read_decimal
+from .abgroup import write_decimal
 from .intlinalg import AugqError, IntMatrix, Lattice, NotASublatticeError
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -41,7 +42,7 @@ _I64_MAX = 2**63 - 1
 
 def encode_int(x):
     """Ints stay ints inside the 64-bit range; beyond it, decimal strings."""
-    return x if _I64_MIN <= x <= _I64_MAX else str(x)
+    return x if _I64_MIN <= x <= _I64_MAX else write_decimal(x)
 
 
 def decode_int(x):

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .abgroup import FinAbGroup, ValuationProfile, read_decimal
+from .abgroup import FinAbGroup, ValuationProfile, read_decimal, write_decimal
 from .augring import AugmentedRing
 from .constructors import (
     CayleyGroup,
@@ -253,7 +253,7 @@ def _format_table(headers, rows):
 
 def _factors_cell(group):
     """A table cell listing the invariant factors, e.g. ``[2, 4]``."""
-    return "[" + ", ".join(str(f) for f in group.invariant_factors) + "]"
+    return "[" + ", ".join(write_decimal(f) for f in group.invariant_factors) + "]"
 
 
 def _format_csv(header, rows):
@@ -318,12 +318,15 @@ def cmd_qn(args):
         )
     elif args.format == "csv":
         rows = [
-            [ring_id, str(q.n), invariants_cell(q.group), str(q.order)]
+            [ring_id, str(q.n), invariants_cell(q.group), write_decimal(q.order)]
             for q in quotients
         ]
         text = _format_csv(["ring_id", "n", "invariants", "order"], rows)
     else:
-        rows = [[str(q.n), _factors_cell(q.group), str(q.order)] for q in quotients]
+        rows = [
+            [str(q.n), _factors_cell(q.group), write_decimal(q.order)]
+            for q in quotients
+        ]
         text = f"ring: {ring_id}\n" + _format_table(["n", "invariants", "order"], rows)
     _emit(text, args.out)
     return 0
@@ -342,8 +345,8 @@ def cmd_stabilize(args):
     else:
         lines = [
             f"ring: {ring_id}",
-            f"torsion exponent d: {report.d}   free rank r: {report.r}   "
-            f"bound d^r: {report.d ** report.r}",
+            f"torsion exponent d: {write_decimal(report.d)}   free rank r: "
+            f"{report.r}   bound d^r: {write_decimal(report.d ** report.r)}",
         ]
         if report.n0_candidate is None:
             lines.append(
@@ -358,7 +361,7 @@ def cmd_stabilize(args):
             [
                 str(q.n),
                 _factors_cell(q.group),
-                str(q.order),
+                write_decimal(q.order),
                 "yes" if ok else "NO",
             ]
             for q, ok in zip(report.quotients, report.bound_ok)
@@ -390,10 +393,11 @@ def cmd_classify(args):
     profile = ValuationProfile.from_json_mapping(mapping)
     group = FinAbGroup.from_valuation_profile(profile)
     factors = list(group.invariant_factors)
+    cell = invariants_cell(group)  # refuses a factor too long to write
     if args.format == "json":
         text = json.dumps({"invariant_factors": factors}, indent=2)
     elif args.format == "csv":
-        text = _format_csv(["invariants"], [[invariants_cell(group)]])
+        text = _format_csv(["invariants"], [[cell]])
     else:
         text = json.dumps(factors, separators=(",", ":"))
     _emit(text, args.out)
@@ -500,7 +504,7 @@ def cmd_corpus(args):
                 rep = build_report(
                     ring, ring_id, max_n=args.max_n, min_window=args.window
                 )
-                row["d"] = str(rep.d)
+                row["d"] = write_decimal(rep.d)
                 row["r"] = str(rep.r)
                 row["bound_ok"] = "true" if all(rep.bound_ok) else "false"
                 if rep.n0_candidate is None:

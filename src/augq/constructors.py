@@ -4,15 +4,10 @@ Three families are constructed here, all landing in the same AugmentedRing
 container:
 
 * integral group rings of finite abelian groups,
-* Burnside rings, via subgroup conjugacy classes and the table of marks,
+* Burnside rings, by counting subgroup orbits on coset spaces,
 * complex representation rings of abelian groups (structurally the group
   ring of the character group) and of dihedral groups D_m of order 2m
   (from the two-dimensional fusion rules).
-
-The Burnside product is computed through the marks homomorphism: marks
-multiply pointwise, and the mark matrix is lower triangular with positive
-diagonal, so products are recovered by an exact triangular solve whose
-integrality is asserted rather than assumed.
 """
 
 import itertools
@@ -27,7 +22,6 @@ __all__ = [
     "CayleyGroup",
     "CayleyTableError",
     "MarksMatrix",
-    "NonIntegralStructureError",
     "SubgroupClasses",
     "TooLargeError",
     "burnside_ring",
@@ -47,10 +41,6 @@ class CayleyTableError(AugqError, ValueError):
     """The table does not describe a group with identity at index 0."""
 
     exit_code = 2
-
-
-class NonIntegralStructureError(AugqError, ArithmeticError):
-    """A mark-vector solve produced a non-integer coefficient."""
 
 
 class CayleyGroup:
@@ -282,22 +272,27 @@ class MarksMatrix:
         return len(self.values)
 
 
+def _left_cosets(g, h):
+    """Number the left cosets xH of the subgroup ``h``: the coset index of
+    every element, and the first element of each coset."""
+    coset_id = [-1] * g.order
+    rep_of = []
+    for x in range(g.order):
+        if coset_id[x] < 0:
+            for y in h:
+                coset_id[g.table[x][y]] = len(rep_of)
+            rep_of.append(x)
+    return coset_id, rep_of
+
+
 def table_of_marks(g):
-    """Direct fixed-point count of each subgroup on each coset space."""
+    """Direct fixed-point count of each subgroup on each coset space; not
+    used by ``burnside_ring``, so it checks that ring independently."""
     classes = enumerate_subgroups(g)
-    n = g.order
     table = g.table
     values = []
     for rep_h in classes.representatives:
-        h = set(rep_h)
-        coset_id = [-1] * n
-        rep_of = []
-        for x in range(n):
-            if coset_id[x] < 0:
-                cid = len(rep_of)
-                rep_of.append(x)
-                for y in h:
-                    coset_id[table[x][y]] = cid
+        coset_id, rep_of = _left_cosets(g, rep_h)
         row = []
         for rep_k in classes.representatives:
             fixed = 0
@@ -314,40 +309,36 @@ def table_of_marks(g):
 def burnside_ring(g):
     """The Burnside ring of g on the basis [G/H], one H per class.
 
-    The mark homomorphism sends [G/H] to its row of fixed-point counts and
-    turns multiplication into the pointwise product; coefficients come back
-    through the triangular solve, and any non-integer coefficient (which
-    would mean the mark matrix lied) raises NonIntegralStructureError.
+    G/H x G/K has one G-orbit per H-orbit on the cosets xK, and its
+    stabilizer is the intersection of H with xKx^-1, so [G/H][G/K] counts
+    those H-orbits by the class of their stabilizer.  The augmentation is
+    the coset count |G|/|H|; [G/G] is the identity, the last class.
     """
-    marks = table_of_marks(g)
-    classes = marks.classes
+    classes = enumerate_subgroups(g)
+    reps = classes.representatives
     t = len(classes)
-    mk = marks.values
-    labels = [f"[G/H{i}]" for i in range(t)]
-
-    def solve(target):
-        coeffs = [0] * t
-        for k in range(t - 1, -1, -1):
-            acc = target[k]
-            for c in range(k + 1, t):
-                acc -= coeffs[c] * mk[c][k]
-            q, rem = divmod(acc, mk[k][k])
-            if rem:
-                raise NonIntegralStructureError(
-                    "mark-vector solve produced a non-integer coefficient"
-                )
-            coeffs[k] = q
-        return coeffs
-
+    class_of = {s: i for i, orbit in enumerate(classes.class_members) for s in orbit}
+    cosets = [_left_cosets(g, k) for k in reps]
+    table = g.table
     structure = {}
-    for a in range(t):
-        for b in range(a, t):
-            target = [mk[a][k] * mk[b][k] for k in range(t)]
-            structure[(a, b)] = solve(target)
-    augmentation = [mk[a][0] for a in range(t)]
-    return AugmentedRing(
-        labels, structure, augmentation, identity_index=t - 1
-    )
+    for a, b in itertools.combinations_with_replacement(range(t), 2):
+        coset_id, rep_of = cosets[b]
+        seen = [False] * len(rep_of)
+        vec = [0] * t
+        for cid, x in enumerate(rep_of):
+            if seen[cid]:
+                continue
+            stabilizer = []
+            for h in reps[a]:
+                hx = coset_id[table[h][x]]
+                seen[hx] = True
+                if hx == cid:
+                    stabilizer.append(h)
+            vec[class_of[frozenset(stabilizer)]] += 1
+        structure[(a, b)] = vec
+    augmentation = [len(rep_of) for _, rep_of in cosets]
+    labels = [f"[G/H{i}]" for i in range(t)]
+    return AugmentedRing(labels, structure, augmentation, identity_index=t - 1)
 
 
 def _convolution_ring(g, prefix, one=None):

@@ -14,7 +14,7 @@ because no finite window proves the sequence stays put afterwards.
 import json
 from dataclasses import dataclass
 
-from .abgroup import FinAbGroup, _factorint
+from .abgroup import FinAbGroup, _factorint, write_decimal
 from .augring import QuotientResult, decode_int, encode_int
 from .intlinalg import AugqError, quotient_invariants, smith_invariants
 
@@ -256,7 +256,7 @@ CSV_HEADER = ["ring_id", "n", "invariants", "order", "bound_ok"]
 
 def invariants_cell(group):
     """The invariant factors of ``group`` pipe-joined, as in every CSV."""
-    return "|".join(str(f) for f in group.invariant_factors)
+    return "|".join(write_decimal(f) for f in group.invariant_factors)
 
 
 def report_csv_rows(report):
@@ -268,7 +268,7 @@ def report_csv_rows(report):
                 report.ring_id,
                 str(q.n),
                 invariants_cell(q.group),
-                str(q.order),
+                write_decimal(q.order),
                 "true" if ok else "false",
             ]
         )

@@ -11,7 +11,6 @@ from augq import AugmentedRing, AugqError, ValidationReport, abgroup, constructo
 from augq import stabilize
 from augq import cli
 from augq.cli import main
-from augq.constructors import MarksMatrix
 from augq.stabilize import report_from_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -526,6 +525,65 @@ def test_classify_many_primes_in_linear_time(capsys):
     assert elapsed < 5, f"classify took {elapsed:.1f} s"
 
 
+# N = 2^13000 has 3,914 digits, under the 4,300 that read_decimal accepts
+WIDE_N = 2**13000
+
+
+def write_wide_idempotents(path):
+    # x*x = N x, y*y = N y, x*y = 0: every Q_n is Z/N + Z/N, so |Q_1| = N^2
+    # has 7,827 digits, d = N and the 2-rows run up to s = 26,000
+    n = str(WIDE_N)
+    spec = {
+        "basis": ["1", "x", "y"],
+        "identity": 0,
+        "structure": [
+            [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [1, 1, 1, n], [2, 2, 2, n]
+        ],
+        "augmentation": [1, 0, 0],
+    }
+    path.write_text(json.dumps(spec))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_qn_order_too_long_to_write_is_an_error(capsys, tmp_path, fmt):
+    path = tmp_path / "wide.json"
+    write_wide_idempotents(path)
+    argv = ["qn", "--ring", str(path), "--max-n", "2", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "augq: integer of 26001 bits is too long to write in decimal\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_classify_factor_too_long_to_write_is_an_error(capsys, tmp_path, fmt):
+    # the profile of Z/2^15000, whose one factor has 4,516 digits
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({f"2,{s}": 15000 - s for s in range(15000)}))
+    code, out, err = run(capsys, "classify", "--profile", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "augq: integer of 15001 bits is too long to write in decimal\n"
+
+
+def test_corpus_on_a_ring_with_many_valuation_rows_is_fast(tmp_path):
+    # 26,001 valuation rows for p = 2; finding the exponents of 2 again for
+    # every row ran for more than 45 minutes
+    write_wide_idempotents(tmp_path / "wide.json")
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("ring wide.json\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "augq.cli", "corpus", str(corpus)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    row = done.stdout.splitlines()[1].split(",")
+    assert row[:4] == ["ring:wide", "ok", str(WIDE_N), "2"]
+    assert row[7] == f"{WIDE_N}|{WIDE_N}"
+    assert elapsed < 5, f"corpus took {elapsed:.1f} s"
+
+
 def test_marks_guard_rejects_non_positive_env(capsys, monkeypatch):
     monkeypatch.setenv("AUGQ_MAX_ORDER", "-5")
     code, _, err = run(capsys, "qn", "--group", "S3", "--family", "burnside")
@@ -685,17 +743,6 @@ def _too_large_error(monkeypatch, tmp_path):
     return ["marks", "--group", "D4"]
 
 
-def _non_integral_structure_error(monkeypatch, tmp_path):
-    real = constructors.table_of_marks
-
-    def lying_marks(g):
-        # [C2/1]^2 then has mark vector (1, 4), which no integer solve reaches
-        return MarksMatrix([[2, 0], [1, 2]], real(g).classes)
-
-    monkeypatch.setattr(constructors, "table_of_marks", lying_marks)
-    return ["qn", "--group", "C2", "--family", "burnside"]
-
-
 def _rank_drop_error(monkeypatch, tmp_path):
     path = tmp_path / "dual.json"
     write_dual_numbers(path)
@@ -729,7 +776,6 @@ EXIT_CODE_CASES = {
         "",
     ),
     "TooLargeError": (_too_large_error, 1, ""),
-    "NonIntegralStructureError": (_non_integral_structure_error, 1, ""),
     "RankDropError": (_rank_drop_error, 1, ""),
     "InconsistentProfileError": (_inconsistent_profile_error, 1, ""),
     "NotPrimeError": (_not_prime_error, 1, ""),

@@ -1,5 +1,6 @@
 import pytest
 
+from augq import constructors
 from augq.abgroup import FinAbGroup, ParseError
 from augq.constructors import (
     BadParameterError,
@@ -17,7 +18,18 @@ from augq.constructors import (
     symmetric_group,
     table_of_marks,
 )
+from conftest import corpus_ring_specs
 from oracles import brute_force_classes, brute_force_subgroups
+
+# The Burnside groups of the corpus, then two with more subgroup classes.
+BURNSIDE_GROUPS = [
+    spec for family, spec in corpus_ring_specs() if family == "burnside"
+] + ["S4", "C2xC2xC2xC2"]
+
+
+def _cayley(spec):
+    g = parse_group_spec(spec)
+    return cayley_from_abelian(g) if isinstance(g, FinAbGroup) else g
 
 
 def test_cayley_validation():
@@ -223,17 +235,31 @@ def test_burnside_structure_constants_nonnegative():
 
 
 def test_burnside_marks_homomorphism():
-    # mark vector of a product = pointwise product of mark vectors
-    for g in (dihedral_group(4), symmetric_group(3)):
-        marks = table_of_marks(g)
+    # mark vector of a product = pointwise product of mark vectors; the mark
+    # map is injective, so this pins every structure constant
+    for spec in BURNSIDE_GROUPS:
+        g = _cayley(spec)
+        marks = table_of_marks(g).values
         ring = burnside_ring(g)
         t = len(ring.labels)
         for i in range(t):
-            for j in range(t):
+            for j in range(i, t):
                 prod = ring.basis_product(i, j)
+                terms = [(k, c) for k, c in enumerate(prod) if c]
                 for col in range(t):
-                    lhs = sum(prod[k] * marks.values[k][col] for k in range(t))
-                    assert lhs == marks.values[i][col] * marks.values[j][col]
+                    lhs = sum(c * marks[k][col] for k, c in terms)
+                    assert lhs == marks[i][col] * marks[j][col], (spec, i, j)
+
+
+def test_burnside_ring_does_not_use_the_marks(monkeypatch):
+    def refuse(g):
+        raise AssertionError("burnside_ring called table_of_marks")
+
+    monkeypatch.setattr(constructors, "table_of_marks", refuse)
+    for spec in BURNSIDE_GROUPS[:-1]:
+        ring = burnside_ring(_cayley(spec))
+        assert ring.dim == len(enumerate_subgroups(_cayley(spec)))
+        assert ring.validate().passed, spec
 
 
 def test_burnside_augmentation_is_coset_count():

@@ -125,6 +125,30 @@ def test_lambda_diagnostics_values_once_per_distinct_group(family, spec, monkeyp
         assert row == tuple(q.group.p_power_valuation(p, s) for q in seq)
 
 
+def test_lambda_diagnostics_finds_exponents_once_per_group_and_prime(monkeypatch):
+    # x*x = 12x: every Q_n is Z/12, so d = 12 and r = 1 give the rows
+    # (2, 0..3) and (3, 0..2), each read off the exponents of one prime
+    ring = AugmentedRing(
+        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, 12]}, [1, 0], 0
+    )
+    seq = quotient_sequence(ring, 6)
+    calls = []
+    exponents = FinAbGroup._exponents
+
+    def counting_exponents(self, p):
+        calls.append((self, p))
+        return exponents(self, p)
+
+    monkeypatch.setattr(FinAbGroup, "_exponents", counting_exponents)
+    table, _ = lambda_diagnostics(seq, 12, 1)
+    assert sorted(p for _, p in calls) == [2, 3]
+    assert {g for g, _ in calls} == {G(12)}
+    assert table == {
+        (2, 0): (2,) * 6, (2, 1): (1,) * 6, (2, 2): (0,) * 6, (2, 3): (0,) * 6,
+        (3, 0): (1,) * 6, (3, 1): (0,) * 6, (3, 2): (0,) * 6,
+    }
+
+
 @pytest.mark.parametrize(
     "spec,max_n,smith_forms", [("C4", 20, 3), ("C2xC4", 20, 4), ("C2xC2xC8", 10, 9)]
 )
