@@ -232,6 +232,21 @@ def _factorint(n):
     return dict(sorted(out.items()))
 
 
+def _divide_out(f, q):
+    """(e, f // q^e) for the largest e with q^e dividing f, for q > 1.
+
+    q is divided out once, then q^2 as often as it goes, recursively, and
+    last q once more if it still divides: the powers q^(2^k) are tried
+    largest first on the way back, about 2·log2(e) divisions in all.
+    """
+    if f % q:
+        return 0, f
+    e, f = _divide_out(f // q, q * q)
+    if f % q:
+        return 2 * e + 1, f
+    return 2 * e + 2, f // q
+
+
 class FinAbGroup:
     """A finite abelian group, canonicalized to invariant factors.
 
@@ -280,16 +295,11 @@ class FinAbGroup:
         return not self._factors
 
     def _exponents(self, p):
-        """The exponent of p in each invariant factor, found by division; all
-        0 for p < 2, which no number of divisions would use up."""
-        exps = []
-        for f in self._factors:
-            e = 0
-            while p > 1 and f % p == 0:
-                f //= p
-                e += 1
-            exps.append(e)
-        return exps
+        """The exponent of p in each invariant factor; all 0 for p < 2, which
+        no number of divisions would use up."""
+        if p < 2:
+            return [0] * len(self._factors)
+        return [_divide_out(f, p)[0] for f in self._factors]
 
     def p_valuation(self, p):
         """Exponent of the prime p in the group order."""

@@ -13,7 +13,9 @@ acts on I^n by an r x r integer matrix, the step lattice C_n spanned by the
 rows of those matrices is I^{n+1} written in I^n-coordinates, and it
 contains d·Z^r for d the exponent of I/I^2, since d·I^n lies in I^{n+1}.
 So C_n is computed modulo d, Z^r / C_n is I^n / I^{n+1}, and changing
-basis by C_n carries the matrices up to I^{n+1}.
+basis by C_n carries the matrices up to I^{n+1}.  The matrices of one step
+fix every later step, so once they equal those of an earlier step the
+chain is periodic and its steps are replayed, not recomputed.
 """
 
 from dataclasses import dataclass, field
@@ -342,7 +344,8 @@ class AugmentedRing:
         return self._start
 
     def ideal_powers(self, max_n, steps=None):
-        """Lattices for I^1, I^2, ..., I^{max_n+1}, in that order.
+        """Lattices for I^1, I^2, ..., I^{max_n+1}, in that order; only I and
+        I^2 when ``steps`` is a list.
 
         I^2 is spanned by the products g·b of the ideal generators g with
         the basis of I, and gives d, the exponent of I/I^2.  Past it no ring
@@ -350,18 +353,24 @@ class AugmentedRing:
         basis of I^2) by the r x r matrix M_g of the coordinates of g·E_n,
         built once.  The rows of all M_g together with d·Z^r, which lies
         inside because d·I^n ⊆ I^{n+1}, span the step lattice C_n: I^{n+1}
-        in E_n-coordinates, computed modulo d.  Then E_{n+1} = C_n·E_n,
-        whose canonical HNF is the returned I^{n+1}, and M_g becomes
-        C_n·M_g·C_n^-1 by back-substitution.  The lemma needs the ring
-        axioms, so the ring should have passed ``validate``; a product or a
-        back-substitution that leaves the lattice raises
+        in E_n-coordinates, computed modulo d.  Then E_{n+1} = C_n·E_n and
+        M_g becomes C_n·M_g·C_n^-1 by back-substitution.  The lemma needs
+        the ring axioms, so the ring should have passed ``validate``; a
+        product or a back-substitution that leaves the lattice raises
         NotASublatticeError.
 
         C_n depends only on the rows modulo d, so a step whose rows reduce
         to a set already met in this call reuses that step's lattice, which
-        the canonical HNF makes exact.  When ``steps`` is a list, C_2 ..
-        C_{max_n} are appended to it, equal steps possibly as one Lattice
-        object; Z^r / C_n is isomorphic to I^n / I^{n+1}.
+        the canonical HNF makes exact.  The operators M_g fix C_n and the
+        next operators, so when they equal those of an earlier step j,
+        every later step repeats with period n - j: C_i is C_{i-(n-j)} from
+        there on, and nothing more is conjugated.  The operators are
+        compared only when the rows modulo d meet an earlier set.
+
+        When ``steps`` is a list, C_2 .. C_{max_n} are appended to it, equal
+        steps possibly as one Lattice object, and no lattice past I^2 is
+        built; Z^r / C_n is isomorphic to I^n / I^{n+1}.  Otherwise I^{n+1}
+        is the canonical HNF of E_{n+1}.
 
         Raises RankDropError when I^2 spans less than I does; the
         consecutive quotients are then not finite and the chain is no
@@ -378,15 +387,18 @@ class AugmentedRing:
         factors = quotient_invariants(ideal, square).factors
         d = factors[-1] if factors else 1
         r = ideal.rank
-        powers = [ideal, square]
-        if steps is None:
-            steps = []
         basis = square.basis.data
-        # a row modulo d is keyed by one int, its digits base d; the memo of
-        # step lattices lives for this call only
+        # a row modulo d is keyed by one int, its digits base d; the memo
+        # maps a key to its step lattice and the (n, operators) of the steps
+        # that met it, and lives for this call only
         weights = [d**i for i in range(r)]
         seen = {}
+        chain = []
+        period = None
         for n in range(2, max_n + 1):
+            if period:
+                chain.append(chain[-period])
+                continue
             if n == 2:
                 ops = [
                     [square.coordinates(self.multiply(g, b)) for b in basis]
@@ -403,9 +415,17 @@ class AugmentedRing:
             rows.pop(0, None)
             key = frozenset(rows)
             if key not in seen:
-                seen[key] = lattice_from_generators(r, list(rows.values()), modulus=d)
-            step = seen[key]
-            steps.append(step)
+                step = lattice_from_generators(r, list(rows.values()), modulus=d)
+                seen[key] = (step, [])
+            step, met = seen[key]
+            period = next((n - j for j, old in met if old == ops), None)
+            met.append((n, ops))
+            chain.append(step)
+        if steps is not None:
+            steps.extend(chain)
+            return [ideal, square]
+        powers = [ideal, square]
+        for step in chain:
             basis = step.times(basis)
             powers.append(lattice_from_generators(self.dim, basis))
         return powers

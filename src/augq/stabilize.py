@@ -13,6 +13,7 @@ because no finite window proves the sequence stays put afterwards.
 
 import json
 from dataclasses import dataclass
+from math import log2
 
 from .abgroup import FinAbGroup, _factorint, write_decimal
 from .augring import QuotientResult, decode_int, encode_int
@@ -64,12 +65,15 @@ def quotient_sequence(ring, max_n=DEFAULT_MAX_N):
     """Q_1 .. Q_{max_n} from a single ideal-power run.
 
     Q_1 is I/I^2; every later Q_n is read off the step lattice C_n of the
-    run, which is I^{n+1} in coordinates of a basis of I^n.  Equal step
-    lattices give one group, whose Smith form is taken once.
+    run, which is I^{n+1} in coordinates of a basis of I^n.  The run builds
+    no lattice past I^2; every power has the rank of I^2, which is that of
+    I or RankDropError was raised, since d·I^n ⊆ I^{n+1}.  Equal step
+    lattices give one group, whose Smith form is taken once; past the
+    chain's first period the steps repeat as the same objects.
     """
     steps = []
-    powers = ring.ideal_powers(max_n, steps=steps)
-    groups = [FinAbGroup(quotient_invariants(powers[0], powers[1]).factors)]
+    ideal, square = ring.ideal_powers(max_n, steps=steps)
+    groups = [FinAbGroup(quotient_invariants(ideal, square).factors)]
     by_step = {}
     for step in steps:
         group = by_step.get(step)
@@ -79,7 +83,7 @@ def quotient_sequence(ring, max_n=DEFAULT_MAX_N):
         groups.append(group)
     return [
         QuotientResult(
-            n=n, group=group, order=group.order(), ideal_rank=powers[n - 1].rank
+            n=n, group=group, order=group.order(), ideal_rank=square.rank
         )
         for n, group in enumerate(groups, 1)
     ]
@@ -127,13 +131,16 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
     where = [position.setdefault(q.group, len(position)) for q in quotients]
     table = {}
     for p in _factorint(d):
-        s = 0
-        power = 1
-        while power <= bound:
+        # the largest s with p^s <= d^r, estimated from the logarithms (which
+        # Python takes from the bit lengths) and then corrected exactly
+        top = int(log2(bound) / log2(p))
+        while p**top > bound:
+            top -= 1
+        while p ** (top + 1) <= bound:
+            top += 1
+        for s in range(top + 1):
             values = [g.p_power_valuation(p, s) for g in position]
             table[(p, s)] = tuple([values[i] for i in where])
-            s += 1
-            power *= p
     if tail_start is None:
         return table, None
     flags = {

@@ -14,6 +14,7 @@ from augq.augring import (
 from augq.abgroup import FinAbGroup
 from augq.constructors import group_ring, parse_group_spec
 from augq.intlinalg import (
+    Lattice,
     NotASublatticeError,
     lattice_from_generators,
     quotient_invariants,
@@ -343,9 +344,12 @@ def test_quotients_invariant_under_basis_change(family, spec):
 def _assert_chain_matches_oracle(ring, max_n):
     """Every I^{n+1} from ``ideal_powers`` is the oracle HNF of the r^2
     products of the basis of I with the basis of I^n, and every step lattice
-    gives the same group as ``quotient_invariants(I^n, I^{n+1})``."""
+    gives the same group as ``quotient_invariants(I^n, I^{n+1})``.  A call
+    given a ``steps`` list builds no lattice past I^2, so the lattices and
+    the steps come from two calls."""
     steps = []
-    powers = ring.ideal_powers(max_n, steps=steps)
+    assert ring.ideal_powers(max_n, steps=steps) == ring.ideal_powers(1)
+    powers = ring.ideal_powers(max_n)
     assert len(powers) == max_n + 1 and len(steps) == max_n - 1
     ideal = powers[0].basis.data
     for n in range(1, max_n + 1):
@@ -390,9 +394,69 @@ def test_ideal_powers_steps_on_a_stationary_chain():
         ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, 1]}, [1, 0], 0
     )
     steps = []
-    powers = ring.ideal_powers(4, steps=steps)
-    assert len(set(powers)) == 1
+    ring.ideal_powers(4, steps=steps)
+    powers = ring.ideal_powers(4)
+    assert len(powers) == 5 and len(set(powers)) == 1
     assert [s.basis.data for s in steps] == [[[1]]] * 3
+
+
+def _coordinates_calls(ring, max_n, monkeypatch):
+    """``Lattice.coordinates`` calls inside one ``ideal_powers(max_n, steps)``
+    call; the chain start is built first, outside the count."""
+    ring.ideal_generators()
+    calls = []
+    real = Lattice.coordinates
+
+    def counting(self, vec):
+        calls.append(None)
+        return real(self, vec)
+
+    monkeypatch.setattr(Lattice, "coordinates", counting)
+    steps = []
+    ring.ideal_powers(max_n, steps=steps)
+    monkeypatch.undo()
+    assert len(steps) == max_n - 1
+    return len(calls)
+
+
+@pytest.mark.parametrize("spec,period", [("C7", 6), ("C2xC2xC2xC2", 1)])
+def test_a_periodic_chain_stops_conjugating_at_its_first_period(
+    spec, period, monkeypatch
+):
+    ring = group_ring(FinAbGroup.from_spec(spec))
+    calls = _coordinates_calls(ring, 20, monkeypatch)
+    assert calls == _coordinates_calls(ring, 60, monkeypatch)
+    steps = []
+    ring.ideal_powers(60, steps=steps)
+    # past step 20 the chain is its period replayed, as the same objects
+    assert all(a is b for a, b in zip(steps[20:], steps[20 - period :]))
+
+
+def test_a_chain_that_never_repeats_conjugates_at_every_step(monkeypatch):
+    ring = group_ring(FinAbGroup([2, 2, 8]))
+    calls = [_coordinates_calls(ring, n, monkeypatch) for n in (10, 20, 30)]
+    assert calls[0] < calls[1] < calls[2]
+
+
+# (family, spec, max_n): the chain repeats by step max_n - 2, so the oracle
+# checks steps replayed from the period, in the ring's own basis and in a
+# seeded rebased copy
+PERIODIC_RINGS = [
+    ("group-ring", "C7", 14),
+    ("group-ring", "C3xC3", 9),
+    ("burnside", "C2xC2xC2", 7),
+]
+
+
+@pytest.mark.parametrize("family,spec,max_n", PERIODIC_RINGS)
+def test_steps_past_the_period_match_the_product_oracle(
+    family, spec, max_n, monkeypatch
+):
+    ring = build_corpus_ring(family, spec)
+    for each in (ring, _rebased(ring, random.Random(f"period {family}:{spec}"))):
+        repeated = _coordinates_calls(each, max_n - 2, monkeypatch)
+        assert repeated == _coordinates_calls(each, max_n + 10, monkeypatch)
+        _assert_chain_matches_oracle(each, max_n)
 
 
 @pytest.mark.parametrize(

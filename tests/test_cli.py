@@ -529,17 +529,19 @@ def test_classify_many_primes_in_linear_time(capsys):
 WIDE_N = 2**13000
 
 
-def write_wide_idempotents(path):
+def write_wide_idempotents(path, generators=("x", "y")):
     # x*x = N x, y*y = N y, x*y = 0: every Q_n is Z/N + Z/N, so |Q_1| = N^2
-    # has 7,827 digits, d = N and the 2-rows run up to s = 26,000
+    # has 7,827 digits, d = N and the 2-rows run up to s = 26,000; with k
+    # generators, Q_n is k copies of Z/N and the rows run up to 13,000·k
     n = str(WIDE_N)
+    m = len(generators) + 1
     spec = {
-        "basis": ["1", "x", "y"],
+        "basis": ["1", *generators],
         "identity": 0,
-        "structure": [
-            [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [1, 1, 1, n], [2, 2, 2, n]
-        ],
-        "augmentation": [1, 0, 0],
+        "structure": [[0, 0, 0, 1]]
+        + [[0, i, i, 1] for i in range(1, m)]
+        + [[i, i, i, n] for i in range(1, m)],
+        "augmentation": [1] + [0] * (m - 1),
     }
     path.write_text(json.dumps(spec))
 
@@ -581,6 +583,28 @@ def test_corpus_on_a_ring_with_many_valuation_rows_is_fast(tmp_path):
     row = done.stdout.splitlines()[1].split(",")
     assert row[:4] == ["ring:wide", "ok", str(WIDE_N), "2"]
     assert row[7] == f"{WIDE_N}|{WIDE_N}"
+    assert elapsed < 5, f"corpus took {elapsed:.1f} s"
+
+
+def test_corpus_on_a_ring_with_a_long_valuation_table_is_fast(tmp_path):
+    # 32 generators: 416,001 rows for p = 2, each exponent 13,000; counting
+    # the rows by p^s <= d^r one multiplication at a time and finding each
+    # exponent by 13,000 divisions took about 9 s
+    generators = [f"x{i}" for i in range(1, 33)]
+    write_wide_idempotents(tmp_path / "wide.json", generators)
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("ring wide.json\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "augq.cli", "corpus", str(corpus), "--max-n", "6"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    row = done.stdout.splitlines()[1].split(",")
+    assert row[:4] == ["ring:wide", "ok", str(WIDE_N), "32"]
+    assert row[7] == "|".join([str(WIDE_N)] * 32)
     assert elapsed < 5, f"corpus took {elapsed:.1f} s"
 
 
