@@ -122,9 +122,9 @@ class AugmentedRing:
     """A commutative ring on basis b_0..b_{m-1} with augmentation to Z.
 
     ``structure`` maps an ordered pair (i, j) to the integer vector of
-    b_i * b_j; a missing (j, i) is filled in from (i, j), but an explicitly
-    supplied asymmetric pair is kept as given so that validation can report
-    the commutativity failure instead of masking it.
+    b_i * b_j, and that vector is b_j * b_i as well, so the table is
+    commutative by construction.  A pair given in both orders must agree
+    entry for entry, or RingSpecError is raised.
     """
 
     __slots__ = (
@@ -157,16 +157,13 @@ class AugmentedRing:
             if len(v) != m:
                 raise ValueError(f"structure vector for ({i}, {j}) has wrong length")
             vecs[(i, j)] = v
-        table = []
-        zero = [0] * m
-        for i in range(m):
-            row = []
-            for j in range(m):
-                v = vecs.get((i, j))
-                if v is None:
-                    v = vecs.get((j, i), zero)
-                row.append(tuple((k, c) for k, c in enumerate(v) if c))
-            table.append(row)
+        table = [[()] * m for _ in range(m)]
+        for (i, j), v in vecs.items():
+            if i < j and vecs.get((j, i), v) != v:
+                raise RingSpecError(
+                    f"conflicting symmetric entries for basis pair ({i}, {j})"
+                )
+            table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(v) if c)
         self._table = table
         # (I, its ideal generators, I^2), built on first use by _chain_start
         self._start = None
@@ -219,75 +216,54 @@ class AugmentedRing:
         """Check every ring axiom and report, without raising.
 
         Associativity is exhaustive over all m^3 basis triples, each side
-        expanded through the sparse product table.  On a commutative table
-        the triples (i, j, k) and (k, j, i) compare the same two expansions,
-        so only k >= i is checked: the failing triples come in such pairs,
-        and the first of them in lexicographic order has i <= k.  There
-        both sides are products (b_a b_b) b_c, and each is expanded once
-        per sorted pair (a, b) and c.  The torsion axiom asks that I / I^2
-        be finite, i.e. that I^2 spans the same rank as I.
+        expanded through the sparse product table.  The table is
+        commutative, so the triples (i, j, k) and (k, j, i) compare the same
+        two expansions, and only k >= i is checked: the failing triples come
+        in such pairs, and the first of them in lexicographic order has
+        i <= k.  There both sides are products (b_a b_b) b_c, and each is
+        expanded once per sorted pair (a, b) and c.  The torsion axiom asks
+        that I / I^2 be finite, i.e. that I^2 spans the same rank as I.
         """
         m = self.dim
         table = self._table
-        labels = self.labels
         aug = self.augmentation
         e = self.identity_index
         ideal, _, square = self._chain_start()
         lost_rank = ideal.rank - square.rank
         unit = f"augmentation: eps(identity) == {aug[e]}, want 1"
         torsion = f"torsion: I/I^2 has free rank {lost_rank}, so it is not finite"
-        asymmetric = [
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if table[i][j] != table[j][i]
-        ]
-        if asymmetric:
-            columns = list(zip(*table))
-            # (b_i b_j) b_k against b_i (b_j b_k), both in the table's form
-            associativity = (
-                f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
-                for i, row_i in enumerate(table)
-                for j, pij in enumerate(row_i)
-                for k in range(m)
-                if _expand(pij, columns[k]) != _expand(table[j][k], row_i)
-            )
-        else:
-            # b_i (b_j b_k) = (b_j b_k) b_i on a commutative table
-            expanded = [[None] * m for _ in range(m)]
+        # b_i (b_j b_k) = (b_j b_k) b_i
+        expanded = [[None] * m for _ in range(m)]
 
-            def times(a, b):
-                out = expanded[a][b]
-                if out is None:
-                    out = [_expand(table[a][b], row) for row in table]
-                    expanded[a][b] = expanded[b][a] = out
-                return out
+        def times(a, b):
+            out = expanded[a][b]
+            if out is None:
+                out = [_expand(table[a][b], row) for row in table]
+                expanded[a][b] = expanded[b][a] = out
+            return out
 
-            associativity = (
+        # per check, its failure lines in counterexample order; the lazy
+        # generators stop at the first one
+        found = {
+            # the constructor refuses a table that is not symmetric
+            "commutativity": [],
+            "associativity": (
                 f"associativity: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"
                 for i in range(m)
                 for j in range(m)
                 for lhs in [times(i, j)]
                 for k in range(i, m)
                 if lhs[k] != times(j, k)[i]
-            )
-        # per check, its failure lines in counterexample order; the lazy
-        # generators stop at the first one
-        found = {
-            "commutativity": (
-                f"commutativity: b{i}*b{j} != b{j}*b{i} ({labels[i]}, {labels[j]})"
-                for i, j in asymmetric
             ),
-            "associativity": associativity,
             "identity": (
                 f"identity: b{e} does not fix b{j}"
                 for j in range(m)
-                if not table[e][j] == table[j][e] == ((j, 1),)
+                if table[e][j] != ((j, 1),)
             ),
             "augmentation_multiplicative": (
                 f"augmentation: eps(b{i}*b{j}) != eps(b{i})*eps(b{j})"
                 for i in range(m)
-                for j in range(m)
+                for j in range(i, m)
                 if sum(c * aug[k] for k, c in table[i][j]) != aug[i] * aug[j]
             ),
             "augmentation_unit": [unit] if aug[e] != 1 else [],
@@ -430,19 +406,6 @@ class AugmentedRing:
             powers.append(lattice_from_generators(self.dim, basis))
         return powers
 
-    def quotient_group(self, n):
-        """The finite abelian group I^n / I^{n+1}."""
-        from .stabilize import quotient_sequence  # stabilize imports this module
-
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
-        return quotient_sequence(self, n)[n - 1]
-
-    def torsion_exponent(self):
-        """Largest invariant factor of I/I^2 (1 when that quotient is trivial)."""
-        factors = self.quotient_group(1).group.invariant_factors
-        return factors[-1] if factors else 1
-
     def free_rank(self):
         """Rank of the augmentation ideal: always dim - 1 for a surjective
         augmentation."""
@@ -451,24 +414,12 @@ class AugmentedRing:
     # -- wire format ---------------------------------------------------------
 
     def to_dict(self):
-        """Serialize to the ring-spec mapping (sparse structure quadruples).
-
-        A commutative table is emitted as its upper triangle only since
-        loading applies symmetric completion; an asymmetric one keeps every
-        ordered pair so nothing is silently repaired.
-        """
-        m = self.dim
-        symmetric = all(
-            self._table[i][j] == self._table[j][i]
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
+        """Serialize to the ring-spec mapping: the sparse structure
+        quadruples of the table's upper triangle, which loading mirrors."""
         quads = []
-        for i in range(m):
-            for j in range(m):
-                if symmetric and j < i:
-                    continue
-                for k, c in self._table[i][j]:
+        for i, row in enumerate(self._table):
+            for j in range(i, self.dim):
+                for k, c in row[j]:
                     quads.append([i, j, k, encode_int(c)])
         return {
             "basis": list(self.labels),
@@ -481,9 +432,9 @@ class AugmentedRing:
     def from_dict(cls, d):
         """Load a ring from the sparse quadruple format.
 
-        Unlisted coefficients are zero; quadruples accumulate; a pair
-        listed in only one order is mirrored, while a pair listed in both
-        orders must agree entry for entry.
+        Unlisted coefficients are zero and quadruples accumulate; the sums
+        go to the constructor, which mirrors each pair and refuses one
+        listed in both orders with different values.
         """
         if not isinstance(d, dict):
             raise RingSpecError("ring spec must be a JSON object")
@@ -520,12 +471,4 @@ class AugmentedRing:
             c = decode_int(row[3])
             vec = vecs.setdefault((i, j), [0] * m)
             vec[k] += c
-        for (i, j) in list(vecs):
-            if i == j:
-                continue
-            mirror = vecs.get((j, i))
-            if mirror is not None and j > i and mirror != vecs[(i, j)]:
-                raise RingSpecError(
-                    f"conflicting symmetric entries for basis pair ({i}, {j})"
-                )
         return cls(basis, vecs, aug, identity)

@@ -138,9 +138,13 @@ def lambda_diagnostics(quotients, d, r, tail_start=None):
             top -= 1
         while p ** (top + 1) <= bound:
             top += 1
+        row = None
         for s in range(top + 1):
-            values = [g.p_power_valuation(p, s) for g in position]
-            table[(p, s)] = tuple([values[i] for i in where])
+            # v_p(|p^s Q_n|) never rises with s, so a zero row stays zero
+            if row is None or any(row):
+                values = [g.p_power_valuation(p, s) for g in position]
+                row = tuple([values[i] for i in where])
+            table[(p, s)] = row
     if tail_start is None:
         return table, None
     flags = {

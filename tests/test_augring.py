@@ -99,15 +99,14 @@ def test_validate_flags_torsion_violation():
     assert all(report.checks[k] for k in report.checks if k != "torsion")
 
 
-def test_validate_flags_noncommutative_table():
-    ring = AugmentedRing(
-        labels=["1", "a"],
-        structure={(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [1, 0], (1, 1): [1, 0]},
-        augmentation=[1, 1],
-        identity_index=0,
-    )
-    report = ring.validate()
-    assert report.checks["commutativity"] is False
+def test_constructor_refuses_a_noncommutative_table():
+    with pytest.raises(RingSpecError, match=r"basis pair \(0, 1\)"):
+        AugmentedRing(
+            labels=["1", "a"],
+            structure={(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [1, 0], (1, 1): [1, 0]},
+            augmentation=[1, 1],
+            identity_index=0,
+        )
 
 
 def test_multiply_frozen_examples():
@@ -167,19 +166,25 @@ def test_ideal_powers_rank_drop():
         dual_numbers().ideal_powers(3)
 
 
+def _torsion_exponent(ring):
+    """Largest invariant factor of I/I^2 (1 when that quotient is trivial)."""
+    factors = quotient_sequence(ring, 1)[0].group.invariant_factors
+    return factors[-1] if factors else 1
+
+
 def test_quotient_group_frozen():
-    ring = zc2()
-    q1 = ring.quotient_group(1)
+    seq = quotient_sequence(zc2(), 7)
+    q1 = seq[0]
     assert q1.group.invariant_factors == (2,)
     assert q1.order == 2 and q1.ideal_rank == 1 and q1.n == 1
-    q7 = ring.quotient_group(7)
-    assert q7.group.invariant_factors == (2,)
-    assert ring_z().quotient_group(3).group.is_trivial()
+    q7 = seq[6]
+    assert q7.n == 7 and q7.group.invariant_factors == (2,)
+    assert quotient_sequence(ring_z(), 3)[2].group.is_trivial()
 
 
 def test_torsion_exponent_and_free_rank():
-    assert zc2().torsion_exponent() == 2
-    assert ring_z().torsion_exponent() == 1
+    assert _torsion_exponent(zc2()) == 2
+    assert _torsion_exponent(ring_z()) == 1
     assert zc2().free_rank() == 1
     assert zc3().free_rank() == 2
     assert ring_z().free_rank() == 0
@@ -191,19 +196,20 @@ def test_torsion_exponent_and_free_rank():
     ring = AugmentedRing(labels=list("egab"), structure=k4,
                          augmentation=[1, 1, 1, 1], identity_index=0)
     assert ring.validate().passed
-    assert ring.torsion_exponent() == 2
-    assert ring.quotient_group(1).group.invariant_factors == (2, 2)
+    assert _torsion_exponent(ring) == 2
+    assert quotient_sequence(ring, 1)[0].group.invariant_factors == (2, 2)
 
 
 def test_quotient_order_matches_determinant_index():
     # index [I^n : I^n+1] from basis determinants in the I^n frame
     for ring in (zc2(), burnside_c2(), zc3()):
         powers = ring.ideal_powers(5)
+        seq = quotient_sequence(ring, 4)
         for n in range(1, 5):
             big, small = powers[n - 1], powers[n]
             coords = [big.coordinates(row) for row in small.basis.data]
             assert all(c is not None for c in coords)
-            q = ring.quotient_group(n)
+            q = seq[n - 1]
             assert q.order == abs(det_laplace(coords))
 
 
@@ -264,8 +270,8 @@ def test_validate_expands_half_the_triples_on_commutative_rings(
     assert len(calls) == m * m * (m + 1) // 2
 
 
-def test_validate_expands_every_triple_on_a_noncommutative_ring(monkeypatch):
-    # the integral group ring of S3: associative, not commutative
+def test_constructor_refuses_the_integral_group_ring_of_s3():
+    # associative, not commutative
     table = parse_group_spec("S3").table
     m = len(table)
     structure = {
@@ -273,25 +279,14 @@ def test_validate_expands_every_triple_on_a_noncommutative_ring(monkeypatch):
         for i in range(m)
         for j in range(m)
     }
-    ring = AugmentedRing([f"g{i}" for i in range(m)], structure, [1] * m, 0)
-    calls = []
-    expand = augring._expand
-
-    def counting_expand(terms, products):
-        calls.append(None)
-        return expand(terms, products)
-
-    monkeypatch.setattr(augring, "_expand", counting_expand)
-    report = ring.validate()
-    assert not report.checks["commutativity"]
-    assert report.checks["associativity"]
-    assert len(calls) == 2 * m**3
+    with pytest.raises(RingSpecError, match="conflicting symmetric entries"):
+        AugmentedRing([f"g{i}" for i in range(m)], structure, [1] * m, 0)
 
 
 def test_chain_c2xc2xc8_to_twenty():
     ring = group_ring(FinAbGroup([2, 2, 8]))
     assert len(ring.ideal_generators()) <= 3
-    d = ring.torsion_exponent()
+    d = _torsion_exponent(ring)
     powers = ring.ideal_powers(20)
     assert len(powers) == 21
     for big, small in zip(powers, powers[1:]):
@@ -538,12 +533,12 @@ def _first_nonassociative_triple(ring):
 
 
 def test_validate_associativity_on_perturbed_corpus_rings():
-    # one structure constant of a corpus ring shifted; half the time b_j b_i
-    # follows b_i b_j, otherwise the table stops being commutative
+    # one structure constant of a corpus ring shifted; the constructor
+    # refuses the table until b_j b_i follows b_i b_j
     rng = random.Random(31)
     specs = corpus_ring_specs()
     broken = 0
-    for t in range(40):
+    for _ in range(40):
         ring = build_corpus_ring(*rng.choice(specs))
         m = ring.dim
         structure = {
@@ -551,8 +546,12 @@ def test_validate_associativity_on_perturbed_corpus_rings():
         }
         i, j, k = (rng.randrange(m) for _ in range(3))
         structure[(i, j)][k] += rng.choice([-2, -1, 1, 2])
-        if t % 2:
-            structure[(j, i)] = structure[(i, j)]
+        if i != j:
+            with pytest.raises(RingSpecError, match="conflicting symmetric"):
+                AugmentedRing(
+                    ring.labels, structure, ring.augmentation, ring.identity_index
+                )
+        structure[(j, i)] = structure[(i, j)]
         ring = AugmentedRing(
             ring.labels, structure, ring.augmentation, ring.identity_index
         )
@@ -565,16 +564,6 @@ def test_validate_associativity_on_perturbed_corpus_rings():
                 *triple
             ) in report.failures
     assert broken >= 30
-
-
-def test_quotient_group_matches_quotient_sequence_on_corpus():
-    for family, spec in corpus_ring_specs():
-        ring = build_corpus_ring(family, spec)
-        seq = quotient_sequence(ring, 3)
-        for n in (1, 2, 3):
-            assert ring.quotient_group(n) == seq[n - 1], (family, spec, n)
-        factors = seq[0].group.invariant_factors
-        assert ring.torsion_exponent() == (factors[-1] if factors else 1)
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from augq.stabilize import (
     report_to_json,
     verify_bound,
 )
-from conftest import build_corpus_ring, corpus_ring_specs
+from conftest import abelian_groups_upto, build_corpus_ring, corpus_ring_specs
 from oracles import valuation_by_multiplication
 
 
@@ -119,7 +120,16 @@ def test_lambda_diagnostics_values_once_per_distinct_group(family, spec, monkeyp
     table, _ = lambda_diagnostics(seq, d, r)
     distinct = {q.group for q in seq}
     assert len(distinct) < len(seq)
-    assert len(calls) == len(set(calls)) == len(table) * len(distinct)
+    # the rows of p up to and including its first zero row, none after it
+    evaluated = [
+        (p, s)
+        for p, s in table
+        if all(any(table[(p, t)]) for t in range(s))
+    ]
+    assert any(not any(table[key]) for key in evaluated)
+    assert len(evaluated) < len(table)
+    assert len(calls) == len(set(calls)) == len(evaluated) * len(distinct)
+    assert {(p, s) for _, p, s in calls} == set(evaluated)
     monkeypatch.undo()
     for (p, s), row in table.items():
         assert row == tuple(q.group.p_power_valuation(p, s) for q in seq)
@@ -276,3 +286,64 @@ def test_report_determinism():
     b = build_report(group_ring(G(2, 4)), "x", max_n=8, min_window=4)
     assert report_to_json(a) == report_to_json(b)
     assert report_csv_rows(a) == report_csv_rows(b)
+
+
+# -- closed forms and metamorphic checks ------------------------------------
+
+
+def test_first_quotient_of_an_abelian_group_ring_is_the_group():
+    # I/I^2 of Z[G] is the abelianization of G
+    groups = abelian_groups_upto(16)
+    assert len(groups) == 25
+    for g in groups:
+        assert quotient_sequence(group_ring(g), 1)[0].group == g, g.spec_string()
+
+
+def test_every_quotient_of_a_cyclic_group_ring_is_the_group():
+    # I = (g - 1) is principal, so I^n / I^(n+1) is Z/m for every n
+    for m in range(2, 33):
+        seq = quotient_sequence(group_ring(G(m)), 20)
+        assert [q.group for q in seq] == [G(m)] * 20, m
+
+
+def _permuted_spec(spec, perm):
+    """The ring spec with basis element i relabelled perm[i]."""
+    labels = [None] * len(perm)
+    augmentation = [None] * len(perm)
+    for i, x in enumerate(spec["basis"]):
+        labels[perm[i]] = x
+        augmentation[perm[i]] = spec["augmentation"][i]
+    return {
+        "basis": labels,
+        "identity": perm[spec["identity"]],
+        "structure": [[perm[i], perm[j], perm[k], c] for i, j, k, c in spec["structure"]],
+        "augmentation": augmentation,
+    }
+
+
+def test_reports_are_invariant_under_basis_permutation():
+    rng = random.Random(53)
+    lower = 0
+    for family, spec in corpus_ring_specs():
+        ring_id = f"{family}:{spec}"
+        ring = build_corpus_ring(family, spec)
+        perm = list(range(ring.dim))
+        rng.shuffle(perm)
+        permuted_spec = _permuted_spec(ring.to_dict(), perm)
+        lower += sum(i > j for i, j, _, _ in permuted_spec["structure"])
+        permuted = AugmentedRing.from_dict(permuted_spec)
+        assert permuted.validate().passed, ring_id
+        want = report_to_dict(build_report(ring, ring_id, 12))
+        assert report_to_dict(build_report(permuted, ring_id, 12)) == want, ring_id
+        # the mirrored table is written back as its upper triangle
+        out = permuted.to_dict()
+        assert all(i <= j for i, j, _, _ in out["structure"]), ring_id
+        back = AugmentedRing.from_dict(out)
+        m = ring.dim
+        assert all(
+            back.basis_product(i, j) == permuted.basis_product(i, j)
+            for i in range(m)
+            for j in range(m)
+        ), ring_id
+    # the constructor mirrored lower-triangle quadruples
+    assert lower > 0
