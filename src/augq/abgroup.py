@@ -13,12 +13,11 @@ of a prime in the invariant factors by division.
 """
 
 import os
-import random
 import re
 from bisect import bisect_left
 from math import gcd
 
-from .intlinalg import AugqError, Lattice, lattice_from_generators, quotient_invariants
+from .intlinalg import AugqError
 
 __all__ = [
     "BadParameterError",
@@ -28,8 +27,6 @@ __all__ = [
     "ParseError",
     "TooLargeError",
     "ValuationProfile",
-    "random_group",
-    "random_subgroup_quotient",
     "read_decimal",
     "write_decimal",
 ]
@@ -496,34 +493,3 @@ class ValuationProfile:
                 )
             entries[pair] = val
         return cls(entries)
-
-
-def random_group(seed, max_rank=4, max_prime_power=64):
-    """Deterministic pseudo-random finite abelian group for a given seed."""
-    rng = random.Random(seed)
-    count = rng.randint(0, max_rank)
-    return FinAbGroup([rng.randint(2, max_prime_power) for _ in range(count)])
-
-
-def random_subgroup_quotient(seed, g):
-    """A deterministic pair (h, q) with h a subgroup of g and q = g/h.
-
-    Present g as Z^k modulo the diagonal relations lattice; an intermediate
-    lattice sampled between the two realizes a subgroup and its quotient at
-    once, and the orders multiply up to |g| by index multiplicativity.
-    """
-    rng = random.Random(seed)
-    factors = g.invariant_factors
-    k = len(factors)
-    if k == 0:
-        return FinAbGroup(), FinAbGroup()
-    relations = [[factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    extra = rng.randint(0, k)
-    gens = list(relations)
-    for _ in range(extra):
-        gens.append([rng.randrange(f) for f in factors])
-    mid = lattice_from_generators(k, gens)
-    rel = lattice_from_generators(k, relations)
-    sub = quotient_invariants(mid, rel)
-    quo = quotient_invariants(Lattice.standard(k), mid)
-    return FinAbGroup(sub.factors), FinAbGroup(quo.factors)

@@ -15,7 +15,9 @@ contains d·Z^r for d the exponent of I/I^2, since d·I^n lies in I^{n+1}.
 So C_n is computed modulo d, Z^r / C_n is I^n / I^{n+1}, and changing
 basis by C_n carries the matrices up to I^{n+1}.  The matrices of one step
 fix every later step, so once they equal those of an earlier step the
-chain is periodic and its steps are replayed, not recomputed.
+chain is periodic and its steps are replayed, not recomputed.  A single
+generator g proves period 1 from C_2 on: I^{n+1} = g·I^n, and g·E_n is a
+basis of it, on which g acts by the same matrix.
 """
 
 from dataclasses import dataclass, field
@@ -348,6 +350,14 @@ class AugmentedRing:
         built; Z^r / C_n is isomorphic to I^n / I^{n+1}.  Otherwise I^{n+1}
         is the canonical HNF of E_{n+1}.
 
+        With a ``steps`` list, one generator g proves the period 1 from
+        step 2 on, with no comparison: I = A·g gives I^{n+1} = g·I^n, and
+        multiplication by g keeps the rank, so it is injective and g·E_n is
+        a basis of I^{n+1}.  In the bases g^(n-2)·E_2, g acts by M_g at
+        every step, so C_n = C_2 for every n.  The lattices are not built
+        in those bases: M_g·E_n is dense and its HNF slows down as n grows,
+        while C_n·E_n stays in echelon form.
+
         Raises RankDropError when I^2 spans less than I does; the
         consecutive quotients are then not finite and the chain is no
         longer the object of interest.
@@ -364,6 +374,9 @@ class AugmentedRing:
         d = factors[-1] if factors else 1
         r = ideal.rank
         basis = square.basis.data
+        # I^{n+1} = g·I^n, and in the bases g^(n-2)·E_2 M_g never changes;
+        # the lattices are built from the triangular bases C_n·E_n instead
+        principal = len(gens) == 1 and steps is not None
         # a row modulo d is keyed by one int, its digits base d; the memo
         # maps a key to its step lattice and the (n, operators) of the steps
         # that met it, and lives for this call only
@@ -394,7 +407,10 @@ class AugmentedRing:
                 step = lattice_from_generators(r, list(rows.values()), modulus=d)
                 seen[key] = (step, [])
             step, met = seen[key]
-            period = next((n - j for j, old in met if old == ops), None)
+            if principal:
+                period = 1
+            else:
+                period = next((n - j for j, old in met if old == ops), None)
             met.append((n, ops))
             chain.append(step)
         if steps is not None:

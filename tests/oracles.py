@@ -2,13 +2,19 @@
 
 Deliberately naive: cofactor determinants, minor-gcd invariant factors, a
 textbook row-reduction HNF, brute-force subgroup search, and a floating
-point character table for dihedral groups.  Nothing here imports from
-augq, so agreement is evidence rather than tautology.
+point character table for dihedral groups.  No oracle calls into augq,
+so agreement is evidence rather than tautology.  The two seeded
+generators at the end are test data, not oracles: they build their groups
+with augq.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
+
+from augq.abgroup import FinAbGroup
+from augq.intlinalg import Lattice, lattice_from_generators, quotient_invariants
 
 
 def det_laplace(rows):
@@ -264,3 +270,34 @@ def solve_exact(a, b):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return [row[n] for row in m]
+
+
+def random_group(seed, max_rank=4, max_prime_power=64):
+    """Deterministic pseudo-random finite abelian group for a given seed."""
+    rng = random.Random(seed)
+    count = rng.randint(0, max_rank)
+    return FinAbGroup([rng.randint(2, max_prime_power) for _ in range(count)])
+
+
+def random_subgroup_quotient(seed, g):
+    """A deterministic pair (h, q) with h a subgroup of g and q = g/h.
+
+    Present g as Z^k modulo the diagonal relations lattice; an intermediate
+    lattice sampled between the two realizes a subgroup and its quotient at
+    once, and the orders multiply up to |g| by index multiplicativity.
+    """
+    rng = random.Random(seed)
+    factors = g.invariant_factors
+    k = len(factors)
+    if k == 0:
+        return FinAbGroup(), FinAbGroup()
+    relations = [[factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    extra = rng.randint(0, k)
+    gens = list(relations)
+    for _ in range(extra):
+        gens.append([rng.randrange(f) for f in factors])
+    mid = lattice_from_generators(k, gens)
+    rel = lattice_from_generators(k, relations)
+    sub = quotient_invariants(mid, rel)
+    quo = quotient_invariants(Lattice.standard(k), mid)
+    return FinAbGroup(sub.factors), FinAbGroup(quo.factors)

@@ -10,12 +10,12 @@ from augq.abgroup import (
     NotPrimeError,
     ParseError,
     ValuationProfile,
-    random_group,
-    random_subgroup_quotient,
 )
 from oracles import (
     invariant_factors_primary,
     is_prime_trial,
+    random_group,
+    random_subgroup_quotient,
     valuation_by_multiplication,
     valuation_from_factors,
 )

@@ -16,8 +16,6 @@ from augq import (
     group_ring,
     lambda_diagnostics,
     quotient_sequence,
-    random_group,
-    random_subgroup_quotient,
     rep_ring_abelian,
     rep_ring_dihedral,
 )
@@ -28,6 +26,8 @@ from oracles import (
     det_laplace,
     dihedral_characters,
     matmul,
+    random_group,
+    random_subgroup_quotient,
     random_unimodular,
 )
 

@@ -414,7 +414,7 @@ def _coordinates_calls(ring, max_n, monkeypatch):
     return len(calls)
 
 
-@pytest.mark.parametrize("spec,period", [("C7", 6), ("C2xC2xC2xC2", 1)])
+@pytest.mark.parametrize("spec,period", [("C3xC3", 2), ("C2xC2xC2xC2", 1)])
 def test_a_periodic_chain_stops_conjugating_at_its_first_period(
     spec, period, monkeypatch
 ):
@@ -425,6 +425,23 @@ def test_a_periodic_chain_stops_conjugating_at_its_first_period(
     ring.ideal_powers(60, steps=steps)
     # past step 20 the chain is its period replayed, as the same objects
     assert all(a is b for a, b in zip(steps[20:], steps[20 - period :]))
+
+
+@pytest.mark.parametrize("spec", ["C7", "C12"])
+def test_a_principal_chain_stops_after_its_second_step(spec, monkeypatch):
+    # I = A·(x - 1) is one ideal generator, so I^{n+1} = g·I^n and C_n = C_2;
+    # the seed gives a rebased copy where the first HNF row of I generates I,
+    # which many seeds do not
+    ring = group_ring(FinAbGroup.from_spec(spec))
+    rebased = _rebased(ring, random.Random(f"principal {spec} 10"))
+    for each in (ring, rebased):
+        assert len(each.ideal_generators()) == 1
+        calls = _coordinates_calls(each, 3, monkeypatch)
+        assert calls == _coordinates_calls(each, 60, monkeypatch)
+        steps = []
+        each.ideal_powers(60, steps=steps)
+        assert all(step is steps[0] for step in steps)
+        _assert_chain_matches_oracle(each, 12)
 
 
 def test_a_chain_that_never_repeats_conjugates_at_every_step(monkeypatch):
@@ -455,13 +472,14 @@ def test_steps_past_the_period_match_the_product_oracle(
 
 
 @pytest.mark.parametrize(
-    "spec,max_n,echelons", [("C4", 20, 5), ("C2xC4", 20, 5), ("C2xC2xC8", 10, 9)]
+    "spec,max_n,echelons", [("C4", 20, 1), ("C2xC4", 20, 5), ("C2xC2xC8", 10, 9)]
 )
 def test_ideal_powers_echelonizes_each_step_once_per_call(
     spec, max_n, echelons, monkeypatch
 ):
-    # C_2 .. C_{max_n}: C4 and C2xC4 repeat their generator rows modulo d
-    # within the chain, C2xC2xC8 never does
+    # C_2 .. C_{max_n}: C4 has one ideal generator, so its chain is C_2
+    # replayed; C2xC4 repeats its generator rows modulo d within the chain,
+    # C2xC2xC8 never does
     ring = group_ring(FinAbGroup.from_spec(spec))
     calls = []
     real = augring.lattice_from_generators

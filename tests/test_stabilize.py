@@ -160,11 +160,12 @@ def test_lambda_diagnostics_finds_exponents_once_per_group_and_prime(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "spec,max_n,smith_forms", [("C4", 20, 3), ("C2xC4", 20, 4), ("C2xC2xC8", 10, 9)]
+    "spec,max_n,smith_forms", [("C4", 20, 1), ("C2xC4", 20, 4), ("C2xC2xC8", 10, 9)]
 )
 def test_quotient_sequence_takes_one_smith_form_per_distinct_step(
     spec, max_n, smith_forms, monkeypatch
 ):
+    # C4 has one ideal generator, so every step is the one lattice C_2;
     # C2xC4 has two equal step lattices that come from different rows, so
     # they are distinct objects with one group
     ring = group_ring(FinAbGroup.from_spec(spec))
