@@ -22,13 +22,17 @@ insertion can still grow intermediate coefficients far past the size of
 the canonical result, so ``lattice_from_generators`` also takes a modulus:
 for a lattice known to contain d·Z^n it works modulo d (Domich–Kannan–
 Trotter 1987; Cohen, GTM 138, §2.4.2), and the echelon's entries stay
-within [0, d].  Both paths run through the one ``_Echelon.insert``.
+within [0, d].  The exact paths (``hnf``, ``kernel_basis`` and
+``lattice_from_generators`` without a modulus) run through
+``_Echelon.insert``; the modular path packs each row into one int of
+fixed-width slots, so a row operation modulo d is a few big-int operations.
 Only ``Lattice`` knows the sparse form of an HNF basis; callers go through
 its ``coordinates`` (back-substitution) and ``times`` (products).
 """
 
 import bisect
 from dataclasses import dataclass
+from operator import mul
 
 __all__ = [
     "AugqError",
@@ -209,9 +213,9 @@ class _Echelon:
     Pivots are sought only in the first ``ncols`` entries.  A row may be
     longer: its trailing entries take part in every row operation without
     ever holding a pivot.  That is how ``hnf`` carries its unimodular
-    transform and ``kernel_basis`` its kernel vectors.  Given a modulus d,
-    ``insert`` reduces modulo d in the same pass, for
-    ``lattice_from_generators``.
+    transform and ``kernel_basis`` its kernel vectors.  Entries are exact
+    and unbounded; the modular path of ``lattice_from_generators`` keeps its
+    own packed echelon instead (see ``_modular_basis``).
     """
 
     def __init__(self, ncols):
@@ -219,16 +223,11 @@ class _Echelon:
         self.pivots = []
         self.rows = []
 
-    def insert(self, row, d=None):
+    def insert(self, row):
         """Reduce ``row`` against the basis, growing it when independent.
 
         Returns the reduced row when its first ``ncols`` entries reduced to
         zero (its trailing entries then record how), else None.
-
-        With a modulus ``d`` every entry a reduction writes is taken into
-        [0, d).  Each such step adds multiples of d·e_k for columns k right
-        of the current pivot, so the span is kept only up to d·Z^n unless
-        those d·e_k are already spanned by the rows with pivots at or past k.
         """
         v = list(row)
         n = self.ncols
@@ -247,26 +246,13 @@ class _Echelon:
                 b = v[c]
                 if b % a == 0:
                     q = b // a
-                    v = (
-                        [x - q * y for x, y in zip(v, h)]
-                        if d is None
-                        else [(x - q * y) % d for x, y in zip(v, h)]
-                    )
+                    v = [x - q * y for x, y in zip(v, h)]
                 else:
-                    # modulo d: gcd(a, b) < a <= d, so the new pivot stays put
                     g, x, y = _xgcd(a, b)
                     af = a // g
                     bf = b // g
-                    rows[idx] = (
-                        [x * p + y * q2 for p, q2 in zip(h, v)]
-                        if d is None
-                        else [(x * p + y * q2) % d for p, q2 in zip(h, v)]
-                    )
-                    v = (
-                        [af * q2 - bf * p for p, q2 in zip(h, v)]
-                        if d is None
-                        else [(af * q2 - bf * p) % d for p, q2 in zip(h, v)]
-                    )
+                    rows[idx] = [x * p + y * q2 for p, q2 in zip(h, v)]
+                    v = [af * q2 - bf * p for p, q2 in zip(h, v)]
                 c += 1
             else:
                 pivots.insert(idx, c)
@@ -400,32 +386,99 @@ class Lattice:
         return f"Lattice({self.ambient_dim}, {self.basis.data!r})"
 
 
+def _modular_basis(n, generators, d):
+    """HNF rows of the span of ``generators`` and d·Z^n, on packed rows.
+
+    Every row is one int of n slots, ``w`` bits each, entry j in slot j
+    (bits w·j up to w·j + w - 1), so one row operation modulo d is a few
+    big-int operations instead of one per entry.  All slots stay
+    nonnegative: a step adds (d - q)·H where it would subtract q·H, and then
+    a Barrett step takes every slot modulo d at once.  Between those steps
+    a slot holds less than 2d²: rows hold entries in [0, d], and every
+    combination below has coefficients of at most d.  With t = bitlen(2d³) + 1 and
+    c = ⌊2^t / d⌋ + 1, (x·c) >> t is ⌊x / d⌋ for every 0 <= x < 2d², and
+    x·c fits in ``w`` bits, so the slots of X·c do not overlap; ``keep``
+    masks each shifted slot to its low w - t bits, dropping the bits
+    shifted down from the slot above.
+
+    The lowest set bit of a row finds its pivot slot.  d·e_j goes in for
+    j = n-1 down to 0 after the generators; a slot holds d itself only in
+    such a row, and only when it found no pivot at j.  The lattice has full
+    rank, so every column ends up with a pivot, and canonicalizing reduces
+    each row modulo d as well: d·e_k is in the lattice for every k.
+    """
+    t = (2 * d**3).bit_length() + 1
+    c = (1 << t) // d + 1
+    w = t + (2 * d).bit_length() + 2
+    mask = (1 << w) - 1
+    weights = [1 << (w * j) for j in range(n)]
+    keep = ((1 << (w - t)) - 1) * sum(weights)
+    packed = []
+    for g in generators:
+        if len(g) != n:
+            raise ValueError("generator length does not match ambient dimension")
+        packed.append(sum(map(mul, [x % d for x in g], weights)))
+    packed += (d << (w * j) for j in reversed(range(n)))
+    rows = [0] * n
+    for v in packed:
+        while v:
+            j = ((v & -v).bit_length() - 1) // w
+            h = rows[j]
+            if not h:
+                rows[j] = v
+                break
+            a = (h >> (w * j)) & mask
+            b = (v >> (w * j)) & mask
+            if b % a:
+                # gcd(a, b) < a <= d, so the new pivot survives the reduction
+                g, x, y = _xgcd(a, b)
+                u = (x % d) * h + (y % d) * v
+                rows[j] = u - d * (((u * c) >> t) & keep)
+                v = (a // g) * v + (d - b // g) * h
+            else:
+                v += (d - b // a) * h
+            v -= d * (((v * c) >> t) & keep)
+    pivots = [(h >> (w * j)) & mask for j, h in enumerate(rows)]
+    for i in range(n):
+        v = rows[i]
+        for j in range(i + 1, n):
+            # Barrett would take a pivot d to 0, but a row with pivot d is
+            # d·e_i, zero right of its pivot, so it never gets here
+            q = ((v >> (w * j)) & mask) // pivots[j]
+            if q:
+                v += (d - q) * rows[j]
+                v -= d * (((v * c) >> t) & keep)
+        rows[i] = v
+    return [[(v >> (w * j)) & mask for j in range(n)] for v in rows]
+
+
 def lattice_from_generators(ambient_dim, generators, modulus=None):
     """Canonical lattice spanned by the given integer vectors.
 
     An empty generator list (or all-zero generators) yields the zero lattice.
 
     With a positive ``modulus`` d the result is the span of the vectors
-    together with d·Z^n, and the echelon's entries stay within [0, d].  The
-    vectors are echelonized modulo d; then d·e_j is inserted exactly for
-    j = n-1 down to 0.  That last pass is what makes the answer right, not
-    just right modulo d: rows (2, 1) and (0, 4) echelonize {(2, 1)} + 4·Z^2
-    modulo 4 but miss (4, 0).  Going right to left, every d·e_k with k > j
-    is already spanned when d·e_j goes in, so its entries right of column j
-    can still be reduced modulo d.
+    together with d·Z^n, and every entry stays within [0, d].  The vectors
+    are echelonized modulo d on packed rows (``_modular_basis``); then d·e_j
+    is inserted for j = n-1 down to 0.  That last pass is what makes the
+    answer right, not just right modulo d: rows (2, 1) and (0, 4)
+    echelonize {(2, 1)} + 4·Z^2 modulo 4 but miss (4, 0).  Going right to
+    left, every d·e_k with k > j is already spanned when d·e_j goes in, so
+    its entries right of column j can still be reduced modulo d.
+
+    >>> lattice_from_generators(2, [[2, 1]], modulus=4).basis.tolist()
+    [[2, 1], [0, 2]]
     """
-    if modulus is not None and modulus < 1:
-        raise ValueError("modulus must be a positive integer")
+    if modulus is not None:
+        if modulus < 1:
+            raise ValueError("modulus must be a positive integer")
+        basis = _modular_basis(ambient_dim, generators, modulus)
+        return Lattice(ambient_dim, IntMatrix(basis, ncols=ambient_dim))
     ech = _Echelon(ambient_dim)
     for g in generators:
         if len(g) != ambient_dim:
             raise ValueError("generator length does not match ambient dimension")
-        ech.insert(g if modulus is None else [x % modulus for x in g], modulus)
-    if modulus is not None:
-        for j in reversed(range(ambient_dim)):
-            v = [0] * ambient_dim
-            v[j] = modulus
-            ech.insert(v, modulus)
+        ech.insert(g)
     ech.canonicalize()
     return Lattice(ambient_dim, IntMatrix(ech.rows, ncols=ambient_dim))
 

@@ -383,6 +383,56 @@ def test_ideal_powers_match_the_product_oracle_on_c2xc2xc8():
     _assert_chain_matches_oracle(group_ring(FinAbGroup([2, 2, 8])), 10)
 
 
+# x^2 = N·x and y^2 = M·y: the modulus d of the chain is the exponent
+# 15·2^70 of Q_1, so every slot of a packed echelon row spans several words
+BIG_N = 3 * 2**70
+BIG_M = 5 * 2**65
+
+
+def big_modulus_ring():
+    """Z[x, y]/(x^2 - N·x, y^2 - M·y) on the basis (1, x, y, xy)."""
+    n, m = BIG_N, BIG_M
+    return AugmentedRing(
+        labels=["1", "x", "y", "xy"],
+        structure={
+            (0, 0): [1, 0, 0, 0],
+            (0, 1): [0, 1, 0, 0],
+            (0, 2): [0, 0, 1, 0],
+            (0, 3): [0, 0, 0, 1],
+            (1, 1): [0, n, 0, 0],
+            (1, 2): [0, 0, 0, 1],
+            (1, 3): [0, 0, 0, n],
+            (2, 2): [0, 0, m, 0],
+            (2, 3): [0, 0, 0, m],
+            (3, 3): [0, 0, 0, n * m],
+        },
+        augmentation=[1, n, m, n * m],
+        identity_index=0,
+    )
+
+
+def test_ideal_powers_match_the_product_oracle_past_64_bits():
+    ring = big_modulus_ring()
+    assert ring.validate().passed
+    assert len(ring.ideal_generators()) == 2
+    _assert_chain_matches_oracle(ring, 8)
+    groups = [q.group.invariant_factors for q in quotient_sequence(ring, 8)]
+    assert groups[0] == (2**65, 15 * 2**70)
+    assert groups[1:] == [(2**65, 2**65, 15 * 2**70)] * 7
+
+
+def test_one_variable_ring_past_64_bits_has_every_quotient_z_mod_n():
+    # I = (x - N) and (x - N)^2 = -N·(x - N), so I^2 = N·I and every Q_n is
+    # I/N·I, cyclic of order N
+    n = BIG_N
+    ring = AugmentedRing(
+        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, n]}, [1, n], 0
+    )
+    _assert_chain_matches_oracle(ring, 8)
+    groups = [q.group.invariant_factors for q in quotient_sequence(ring, 8)]
+    assert groups == [(n,)] * 8
+
+
 def test_ideal_powers_steps_on_a_stationary_chain():
     # x*x = x: I = I^2, so every step lattice is all of Z^r
     ring = AugmentedRing(

@@ -334,6 +334,34 @@ def test_modular_generators_match_oracle():
         assert all(0 <= x <= d for row in lat.basis.data for x in row)
 
 
+# 1, primes, prime powers, composites, and moduli whose packed slots span
+# several machine words
+MODULI = [1, 2, 3, 97, 4, 8, 9, 64, 6, 12, 30, 360, 2**31 - 1, 2**64 + 13, 10**30]
+
+
+@pytest.mark.parametrize("d", MODULI)
+def test_modular_generators_match_oracle_at_every_width(d):
+    rng = random.Random(f"modular {d}")
+    for n in range(15):
+        for _ in range(2):
+            # zeros, small entries of both signs, entries past d; then one
+            # repeated row and one zero row
+            rows = [
+                [
+                    rng.choice([0, rng.randint(-9, 9), rng.randint(-3 * d, 3 * d)])
+                    for _ in range(n)
+                ]
+                for _ in range(rng.randrange(0, 8))
+            ]
+            if rows:
+                rows.append(list(rng.choice(rows)))
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+            multiples = [[d * int(i == j) for j in range(n)] for i in range(n)]
+            lat = lattice_from_generators(n, rows, modulus=d)
+            assert lat.basis.tolist() == hnf_oracle(rows + multiples), (n, rows)
+            assert all(0 <= x <= d for row in lat.basis.data for x in row)
+
+
 def test_modular_generators_reject_bad_modulus():
     with pytest.raises(ValueError):
         lattice_from_generators(2, [[1, 0]], modulus=0)
