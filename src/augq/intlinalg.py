@@ -27,11 +27,14 @@ within [0, d].  The exact paths (``hnf``, ``kernel_basis`` and
 ``_Echelon.insert``; the modular path packs each row into one int of
 fixed-width slots, so a row operation modulo d is a few big-int operations.
 Only ``Lattice`` knows the sparse form of an HNF basis; callers go through
-its ``coordinates`` (back-substitution) and ``times`` (products).
+its ``coordinates`` (back-substitution), ``times`` (products) and
+``conjugate``, which carries k matrices M acting on Z^n to the matrices X
+with X·B = B·M on a basis B (C·M·C^-1 for a full-rank C) in one pass of
+whole-list operations, the matrices side by side.
 """
 
 import bisect
-from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 __all__ = [
@@ -179,28 +182,74 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class _Record:
+    """A plain record over the class's ``__slots__``: a constructor taking
+    every field by position or keyword, field-wise ``==`` and a keyword
+    repr, the parts of a dataclass the package uses, without importing
+    ``dataclasses`` (which imports ``inspect`` and costs every process
+    several milliseconds)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            fields = ", ".join(names)
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class InvariantFactors(_Record):
     """Invariant factors of a lattice quotient: cyclic orders plus free rank.
 
     ``factors`` is the ascending divisibility chain with unit factors
     dropped, so the trivial quotient is ``()`` with ``free_rank`` 0.
+    Instances are immutable and hashable.
     """
 
-    factors: tuple
-    free_rank: int
+    __slots__ = ("factors", "free_rank")
 
-    def __post_init__(self):
-        fs = tuple(int(f) for f in self.factors)
-        object.__setattr__(self, "factors", fs)
+    def __init__(self, factors, free_rank):
+        fs = tuple(int(f) for f in factors)
         for f in fs:
             if f < 2:
                 raise ValueError("invariant factors must be >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
+        object.__setattr__(self, "factors", fs)
+        object.__setattr__(self, "free_rank", free_rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since fields refuse
+        # assignment
+        return InvariantFactors, self._fields()
 
 
 class _Echelon:
@@ -283,7 +332,7 @@ class Lattice:
     dimension.  Because the basis is canonical, ``==`` decides equality of
     lattices, not just of generating sets.  Each basis row is also kept in
     sparse form, its nonzero entries as (column, entry) pairs with the pivot
-    first; ``coordinates`` and ``times`` walk those.
+    first; ``coordinates``, ``times`` and ``conjugate`` walk those.
     """
 
     __slots__ = ("ambient_dim", "basis", "_rows")
@@ -366,6 +415,59 @@ class Lattice:
             out.append(acc)
         return out
 
+    def conjugate(self, side, modulus):
+        """Carry k operators from Z^n to this basis B at once, and key their
+        rows modulo d = ``modulus``.
+
+        ``side`` is [M_1 | ... | M_k]: n rows of k·n entries, the n x n
+        matrices M_g side by side, each mapping the lattice into itself.
+        With r the rank, returns ([X_1 | ... | X_k], keys): X_g is the
+        r x r matrix with X_g·B = B·M_g, so X_g = B·M_g·B^-1 for a basis of
+        full rank, and keys[g·r + a] reads row a of X_g modulo d as digits
+        base d, lowest first.  Returns None when some row of some B·M_g is
+        outside the lattice.  There are three stages, each on whole lists:
+        the product B·[M_1 | ... | M_k] by ``times``, one list operation
+        per nonzero entry of B; one block transpose, which stacks column j
+        of every B·M_g into one column; and the solve X_g·B = B·M_g down
+        those stacked columns, again one list operation per nonzero entry
+        of B.  A pivot p > 1 costs one divisibility scan and one exact
+        division of its column, and every column without a pivot must end
+        at zero.  A basis of full rank, such as a step lattice of the
+        ideal-power chain, which contains d·Z^n, has its pivot of row i in
+        column i: every column is a pivot column, and no residual is left
+        to check.  The keys take one operation per column.
+
+        >>> c = Lattice(2, IntMatrix([[1, 1], [0, 2]]))
+        >>> c.conjugate([[1, 0, 0, 2], [0, 3, 2, 0]], 5)
+        ([[1, 1, 2, 0], [0, 3, 4, -2]], [6, 15, 2, 19])
+        """
+        n = self.ambient_dim
+        if len(side) != n:
+            raise ValueError("side must have ambient_dim rows")
+        cols = _block_transpose(self.times(side), n)
+        solved = []
+        for terms in self._rows:
+            c, p = terms[0]
+            col = cols[c]
+            cols[c] = None
+            if p != 1:
+                if any(map(p.__rmod__, col)):
+                    return None
+                col = [y // p for y in col]
+            for k, x in terms[1:]:
+                cols[k] = [y - x * z for y, z in zip(cols[k], col)]
+            solved.append(col)
+        if any(col and any(col) for col in cols):
+            return None
+        d = modulus
+        keys = []
+        for col in reversed(solved):
+            if keys:
+                keys = [key * d + y % d for key, y in zip(keys, col)]
+            else:
+                keys = [y % d for y in col]
+        return _block_transpose(solved, self.rank), keys
+
     def contains(self, vec):
         return self.coordinates(vec) is not None
 
@@ -386,6 +488,19 @@ class Lattice:
         return f"Lattice({self.ambient_dim}, {self.basis.data!r})"
 
 
+def _block_transpose(rows, width):
+    """Transpose each block of ``rows``, blocks ``width`` columns wide side
+    by side, and empty ``rows``.
+
+    Row j of the result is column j of every block, one block after
+    another.  ``rows`` is emptied as soon as its columns are taken, so at
+    most two copies of the entries are held.
+    """
+    cols = list(zip(*rows))
+    rows.clear()
+    return [list(chain.from_iterable(cols[j::width])) for j in range(width)]
+
+
 def _modular_basis(n, generators, d):
     """HNF rows of the span of ``generators`` and d·Z^n, on packed rows.
 
@@ -402,10 +517,12 @@ def _modular_basis(n, generators, d):
     shifted down from the slot above.
 
     The lowest set bit of a row finds its pivot slot.  d·e_j goes in for
-    j = n-1 down to 0 after the generators; a slot holds d itself only in
-    such a row, and only when it found no pivot at j.  The lattice has full
-    rank, so every column ends up with a pivot, and canonicalizing reduces
-    each row modulo d as well: d·e_k is in the lattice for every k.
+    j = n-1 down to 0 after the generators (``lattice_from_generators``
+    says why that makes the span exact, in either order); a slot holds d
+    itself only in such a row, and only when it found no pivot at j.  The
+    lattice has full rank, so every column ends up with a pivot, and
+    canonicalizing reduces each row modulo d as well: d·e_k is in the
+    lattice for every k.
     """
     t = (2 * d**3).bit_length() + 1
     c = (1 << t) // d + 1
@@ -457,14 +574,26 @@ def lattice_from_generators(ambient_dim, generators, modulus=None):
 
     An empty generator list (or all-zero generators) yields the zero lattice.
 
-    With a positive ``modulus`` d the result is the span of the vectors
+    With a positive ``modulus`` d the result is the span L of the vectors
     together with d·Z^n, and every entry stays within [0, d].  The vectors
     are echelonized modulo d on packed rows (``_modular_basis``); then d·e_j
-    is inserted for j = n-1 down to 0.  That last pass is what makes the
-    answer right, not just right modulo d: rows (2, 1) and (0, 4)
-    echelonize {(2, 1)} + 4·Z^2 modulo 4 but miss (4, 0).  Going right to
-    left, every d·e_k with k > j is already spanned when d·e_j goes in, so
-    its entries right of column j can still be reduced modulo d.
+    is inserted for every column j, for j = n-1 down to 0.  Reduction
+    modulo d alone is right only modulo d·Z^n: rows (2, 1) and (0, 4)
+    echelonize {(2, 1)} + 4·Z^2 modulo 4 but miss (4, 0).  Triangular rows
+    h_j with pivots a_j | d that span L modulo d·Z^n span L exactly when
+    (d/a_j)·h_j lies, modulo d, in the span of the rows below h_j for every
+    j: then, from the last row up, d·e_j is (d/a_j)·h_j less a vector of
+    the rows below.  Inserting d·e_j makes this hold for row j.  If row j
+    is h with pivot a, the new pivot is g = gcd(a, d) = x·a + y·d, the new
+    row is x·h + y·d·e_j, and what goes on into the rows below is
+    -(d/g)·h modulo d; so (d/g) times the new row is -x times that (an
+    empty row j becomes d·e_j, which holds it trivially).  Every later step
+    keeps it.  The rows below only gain span modulo d.  When a
+    vector v with entry b at column j replaces h by x·h + y·v, with pivot
+    g = gcd(a, b) = x·a + y·b, then (d/g)·(x·h + y·v) = (d/a)·h + y·(d/a)·v',
+    where v' = (a/g)·v - (b/g)·h is what goes on below.  Canonicalizing
+    subtracts rows below.  So the answer is exact, and it would be for any
+    order of the d·e_j.
 
     >>> lattice_from_generators(2, [[2, 1]], modulus=4).basis.tolist()
     [[2, 1], [0, 2]]

@@ -12,12 +12,11 @@ because no finite window proves the sequence stays put afterwards.
 """
 
 import json
-from dataclasses import dataclass
 from math import log2
 
 from .abgroup import FinAbGroup, _factorint, write_decimal
 from .augring import QuotientResult, decode_int, encode_int
-from .intlinalg import AugqError, quotient_invariants, smith_invariants
+from .intlinalg import AugqError, _Record, quotient_invariants, smith_invariants
 
 __all__ = [
     "ReportInconsistencyError",
@@ -45,20 +44,21 @@ class ReportInconsistencyError(AugqError, AssertionError):
     prefix = "INTERNAL INVARIANT VIOLATION: "
 
 
-@dataclass
-class StabilizationReport:
+class StabilizationReport(_Record):
     """Everything observed in one scan; field names match the wire format."""
 
-    ring_id: str
-    max_n: int
-    d: int
-    r: int
-    quotients: list
-    n0_candidate: int | None
-    window: int | None
-    certified: bool
-    bound_ok: list
-    lambda_table: dict
+    __slots__ = (
+        "ring_id",
+        "max_n",
+        "d",
+        "r",
+        "quotients",
+        "n0_candidate",
+        "window",
+        "certified",
+        "bound_ok",
+        "lambda_table",
+    )
 
 
 def quotient_sequence(ring, max_n=DEFAULT_MAX_N):

@@ -6,8 +6,10 @@ from augq import augring
 from augq.augring import (
     AugmentedRing,
     DimensionMismatchError,
+    QuotientResult,
     RankDropError,
     RingSpecError,
+    ValidationReport,
     decode_int,
     encode_int,
 )
@@ -259,15 +261,15 @@ def test_validate_expands_half_the_triples_on_commutative_rings(
     calls = []
     expand = augring._expand
 
-    def counting_expand(terms, products):
+    def counting_expand(terms, packed):
         calls.append(None)
-        return expand(terms, products)
+        return expand(terms, packed)
 
     monkeypatch.setattr(augring, "_expand", counting_expand)
     assert ring.validate().passed
     m = ring.dim
-    # one expansion of (b_a b_b) b_c per sorted pair (a, b) and each c
-    assert len(calls) == m * m * (m + 1) // 2
+    # one packed expansion of (b_a b_b) b_c for every c per sorted pair (a, b)
+    assert len(calls) == m * (m + 1) // 2
 
 
 def test_constructor_refuses_the_integral_group_ring_of_s3():
@@ -445,18 +447,19 @@ def test_ideal_powers_steps_on_a_stationary_chain():
     assert [s.basis.data for s in steps] == [[[1]]] * 3
 
 
-def _coordinates_calls(ring, max_n, monkeypatch):
-    """``Lattice.coordinates`` calls inside one ``ideal_powers(max_n, steps)``
-    call; the chain start is built first, outside the count."""
+def _conjugations(ring, max_n, monkeypatch):
+    """``Lattice.conjugate`` calls inside one ``ideal_powers(max_n, steps)``
+    call, one per computed step; the chain start is built first, outside
+    the count."""
     ring.ideal_generators()
     calls = []
-    real = Lattice.coordinates
+    real = Lattice.conjugate
 
-    def counting(self, vec):
+    def counting(self, side, modulus):
         calls.append(None)
-        return real(self, vec)
+        return real(self, side, modulus)
 
-    monkeypatch.setattr(Lattice, "coordinates", counting)
+    monkeypatch.setattr(Lattice, "conjugate", counting)
     steps = []
     ring.ideal_powers(max_n, steps=steps)
     monkeypatch.undo()
@@ -469,8 +472,8 @@ def test_a_periodic_chain_stops_conjugating_at_its_first_period(
     spec, period, monkeypatch
 ):
     ring = group_ring(FinAbGroup.from_spec(spec))
-    calls = _coordinates_calls(ring, 20, monkeypatch)
-    assert calls == _coordinates_calls(ring, 60, monkeypatch)
+    calls = _conjugations(ring, 20, monkeypatch)
+    assert calls == _conjugations(ring, 60, monkeypatch)
     steps = []
     ring.ideal_powers(60, steps=steps)
     # past step 20 the chain is its period replayed, as the same objects
@@ -486,8 +489,9 @@ def test_a_principal_chain_stops_after_its_second_step(spec, monkeypatch):
     rebased = _rebased(ring, random.Random(f"principal {spec} 10"))
     for each in (ring, rebased):
         assert len(each.ideal_generators()) == 1
-        calls = _coordinates_calls(each, 3, monkeypatch)
-        assert calls == _coordinates_calls(each, 60, monkeypatch)
+        # step 2 alone is conjugated, to key its rows
+        assert _conjugations(each, 3, monkeypatch) == 1
+        assert _conjugations(each, 60, monkeypatch) == 1
         steps = []
         each.ideal_powers(60, steps=steps)
         assert all(step is steps[0] for step in steps)
@@ -496,7 +500,7 @@ def test_a_principal_chain_stops_after_its_second_step(spec, monkeypatch):
 
 def test_a_chain_that_never_repeats_conjugates_at_every_step(monkeypatch):
     ring = group_ring(FinAbGroup([2, 2, 8]))
-    calls = [_coordinates_calls(ring, n, monkeypatch) for n in (10, 20, 30)]
+    calls = [_conjugations(ring, n, monkeypatch) for n in (10, 20, 30)]
     assert calls[0] < calls[1] < calls[2]
 
 
@@ -516,8 +520,8 @@ def test_steps_past_the_period_match_the_product_oracle(
 ):
     ring = build_corpus_ring(family, spec)
     for each in (ring, _rebased(ring, random.Random(f"period {family}:{spec}"))):
-        repeated = _coordinates_calls(each, max_n - 2, monkeypatch)
-        assert repeated == _coordinates_calls(each, max_n + 10, monkeypatch)
+        repeated = _conjugations(each, max_n - 2, monkeypatch)
+        assert repeated == _conjugations(each, max_n + 10, monkeypatch)
         _assert_chain_matches_oracle(each, max_n)
 
 
@@ -550,6 +554,25 @@ def test_ideal_powers_echelonizes_each_step_once_per_call(
         assert len({id(step) for step in steps}) == echelons
 
 
+def test_each_step_echelon_gets_distinct_nonzero_rows_modulo_d(monkeypatch):
+    real = augring.lattice_from_generators
+    calls = []
+
+    def recording(dim, generators, modulus=None):
+        if modulus is not None:
+            calls.append([tuple(x % modulus for x in g) for g in generators])
+        return real(dim, generators, modulus)
+
+    monkeypatch.setattr(augring, "lattice_from_generators", recording)
+    rebased = _rebased(build_corpus_ring("burnside", "D4"), random.Random("rows D4"))
+    for ring in (group_ring(FinAbGroup([2, 2, 8])), rebased):
+        ring.ideal_powers(10, steps=[])
+    assert len(calls) > 9
+    for residues in calls:
+        assert len(set(residues)) == len(residues)
+        assert all(any(row) for row in residues)
+
+
 def test_ideal_powers_rejects_a_step_not_closed_under_the_generators(monkeypatch):
     # shrinking each step lattice by 3 in one direction leaves a lattice the
     # generators do not map into itself; the back-substitution must notice
@@ -567,6 +590,8 @@ def test_ideal_powers_rejects_a_step_not_closed_under_the_generators(monkeypatch
     assert len(ring.ideal_powers(2)) == 3
     with pytest.raises(NotASublatticeError, match=r"I\^4 is not inside I\^3"):
         ring.ideal_powers(5)
+    with pytest.raises(NotASublatticeError, match=r"I\^4 is not inside I\^3"):
+        ring.ideal_powers(5, steps=[])
 
 
 def test_chain_start_is_built_once_per_ring(monkeypatch):
@@ -634,7 +659,81 @@ def test_validate_associativity_on_perturbed_corpus_rings():
     assert broken >= 30
 
 
+def test_packed_validate_matches_plain_products_past_64_bits():
+    # large-d ring (constants past 2^70), a rebased Burnside ring (negative
+    # constants) and non-associative copies of both, each with one
+    # symmetric pair of structure constants shifted
+    rng = random.Random(53)
+    rebased = _rebased(build_corpus_ring("burnside", "D6"), random.Random("ci D6"))
+    assert any(c < 0 for i in range(rebased.dim) for c in rebased.basis_product(i, i))
+    broken = 0
+    for ring in (big_modulus_ring(), rebased):
+        m = ring.dim
+        assert ring.validate().passed
+        assert _first_nonassociative_triple(ring) is None
+        for _ in range(12):
+            structure = {
+                (i, j): ring.basis_product(i, j) for i in range(m) for j in range(m)
+            }
+            i, j, k = (rng.randrange(m) for _ in range(3))
+            structure[(i, j)][k] += rng.choice([-1, 1]) * rng.choice([1, 3, 2**66])
+            structure[(j, i)] = structure[(i, j)]
+            copy = AugmentedRing(
+                ring.labels, structure, ring.augmentation, ring.identity_index
+            )
+            report = copy.validate()
+            triple = _first_nonassociative_triple(copy)
+            assert report.checks["associativity"] is (triple is None)
+            if triple is not None:
+                broken += 1
+                assert "associativity: (b{0}*b{1})*b{2} != b{0}*(b{1}*b{2})".format(
+                    *triple
+                ) in report.failures
+    assert broken >= 16
+
+
+def test_packed_validate_matches_plain_products_on_random_tables():
+    # random symmetric tables, nearly all of them not associative: the
+    # packed scan reports the triple that plain products find first
+    rng = random.Random(59)
+    for _ in range(300):
+        m = rng.randrange(3, 6)
+        top = rng.choice([1, 3, 9])
+        structure = {
+            (i, j): [rng.randint(-top, top) for _ in range(m)]
+            for i in range(m)
+            for j in range(i, m)
+        }
+        ring = AugmentedRing([f"b{i}" for i in range(m)], structure, [1] * m, 0)
+        report = ring.validate()
+        triple = _first_nonassociative_triple(ring)
+        assert report.checks["associativity"] is (triple is None)
+        if triple is not None:
+            assert "associativity: (b{0}*b{1})*b{2} != b{0}*(b{1}*b{2})".format(
+                *triple
+            ) in report.failures
+
+
 # -- serialization -----------------------------------------------------------
+
+
+def test_records_compare_field_by_field():
+    group = FinAbGroup([2, 4])
+    q = QuotientResult(n=1, group=group, order=8, ideal_rank=3)
+    assert q == QuotientResult(1, group, 8, 3)
+    assert q != QuotientResult(2, group, 8, 3)
+    assert repr(q) == (
+        "QuotientResult(n=1, group=FinAbGroup([2, 4]), order=8, ideal_rank=3)"
+    )
+    with pytest.raises(TypeError):
+        hash(q)
+    for args, kwargs in [((1, group, 8), {}), ((1, group, 8, 3), {"n": 1})]:
+        with pytest.raises(TypeError, match="takes the fields n, group"):
+            QuotientResult(*args, **kwargs)
+    report = ValidationReport({"identity": True})
+    assert report.failures == [] and report.passed
+    assert report == ValidationReport(checks={"identity": True}, failures=[])
+    assert ValidationReport({}).failures is not ValidationReport({}).failures
 
 
 def test_int_codec():

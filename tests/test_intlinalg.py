@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -79,6 +81,14 @@ def test_det_big_entries():
 def test_invariant_factors_validation():
     f = InvariantFactors((2, 4), 1)
     assert f.factors == (2, 4) and f.free_rank == 1
+    assert f == InvariantFactors([2, 4], free_rank=1) != InvariantFactors((2,), 1)
+    assert hash(f) == hash(InvariantFactors((2, 4), 1))
+    assert repr(f) == "InvariantFactors(factors=(2, 4), free_rank=1)"
+    with pytest.raises(AttributeError):
+        f.free_rank = 0
+    with pytest.raises(AttributeError):
+        del f.factors
+    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
     with pytest.raises(ValueError):
         InvariantFactors((1, 2), 0)
     with pytest.raises(ValueError):
@@ -181,6 +191,98 @@ def test_lattice_coordinates_and_times_match_oracles():
         right = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
         assert lat.times(right) == matmul(basis, right)
     assert outside >= 50
+
+
+def _full_rank_hnf(rng, r):
+    """A seeded r x r HNF basis: pivots mostly above 1, each entry above a
+    pivot drawn from [0, pivot)."""
+    pivots = [rng.choice([1, 2, 2, 3, 4, 6, 9]) for _ in range(r)]
+    return [
+        [0] * i + [pivots[i]] + [rng.randrange(p) for p in pivots[i + 1 :]]
+        for i in range(r)
+    ]
+
+
+def test_batched_conjugation_matches_per_row_coordinates():
+    # k <= 7 operators on HNF lattices in Z^n, n <= 12, with pivots above 1:
+    # full-rank ones, where an operator divisible by det C always conjugates
+    # to an integer matrix, and ones of lower rank, kept by an operator whose
+    # rows lie in the lattice; an operator with small random entries seldom
+    # maps a lattice into itself
+    rng = random.Random(41)
+    integral = failed = 0
+    for case in range(160):
+        n = rng.randrange(1, 13)
+        k = rng.randrange(1, 8)
+        bits = rng.choice([3, 53, 70, 130])
+        if case % 4:
+            basis = _full_rank_hnf(rng, n)
+            det = 1
+            for i in range(n):
+                det *= basis[i][i]
+            ops = [
+                [
+                    [det * rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                for _ in range(k)
+            ]
+        else:
+            rows = [
+                [rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randrange(n))
+            ]
+            basis = hnf_oracle(rows)
+            ops = [
+                matmul(
+                    [
+                        [rng.randint(-(2**bits), 2**bits) for _ in basis]
+                        for _ in range(n)
+                    ],
+                    basis,
+                )
+                if basis
+                else [[0] * n for _ in range(n)]
+                for _ in range(k)
+            ]
+        lat = Lattice(n, IntMatrix(basis, ncols=n))
+        if case % 3 == 0:
+            ops[rng.randrange(k)] = [
+                [rng.randint(-3, 3) for _ in range(n)] for _ in range(n)
+            ]
+        d = rng.choice([2, 7, 12, 2**64 + 13])
+        side = [[x for op in ops for x in op[a]] for a in range(n)]
+        got = lat.conjugate(side, d)
+        want = [[lat.coordinates(row) for row in lat.times(op)] for op in ops]
+        if any(None in op for op in want):
+            assert got is None
+            failed += 1
+            continue
+        integral += 1
+        conjugated, keys = got
+        rows = [[x for op in want for x in op[a]] for a in range(lat.rank)]
+        assert conjugated == rows
+        assert keys == [
+            sum(x % d * d**i for i, x in enumerate(row)) for op in want for row in op
+        ]
+        for op, x in zip(ops, want):
+            assert matmul(x, basis) == matmul(basis, op)
+    assert integral >= 80 and failed >= 20
+
+
+def test_batched_conjugation_edge_cases():
+    lat = Lattice(2, IntMatrix([[1, 1], [0, 2]]))
+    # C·M·C^-1 has 1/2 in its corner
+    assert lat.conjugate([[0, 1], [0, 0]], 3) is None
+    assert Lattice.zero(0).conjugate([], 5) == ([], [])
+    assert Lattice.zero(2).conjugate([[1, 2], [3, 4]], 5) == ([], [])
+    assert Lattice.standard(1).conjugate([[4, -9]], 5) == ([[4, -9]], [4, 1])
+    # the span of e_0 is kept by a matrix with first row (a, 0), and left
+    # by one that sends e_0 to e_1
+    line = Lattice(2, IntMatrix([[1, 0]]))
+    assert line.conjugate([[3, 0, 2, 0], [0, 5, 7, 1]], 2) == ([[3, 2]], [1, 0])
+    assert line.conjugate([[0, 1], [0, 0]], 2) is None
+    with pytest.raises(ValueError):
+        line.conjugate([[1, 0]], 3)
 
 
 def test_generators_frozen_example():
