@@ -47,7 +47,6 @@ from .intlinalg import (
     InvariantFactors,
     Lattice,
     NotASublatticeError,
-    hnf,
     kernel_basis,
     lattice_from_generators,
     quotient_invariants,
@@ -103,7 +102,6 @@ __all__ = [
     "dihedral_group",
     "enumerate_subgroups",
     "group_ring",
-    "hnf",
     "kernel_basis",
     "lambda_diagnostics",
     "lattice_from_generators",

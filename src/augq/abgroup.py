@@ -7,9 +7,10 @@ divisibility chain.
 
 Beyond classification the module carries the small calculus used by the
 quotient diagnostics: the p-adic valuation of the group order, Sylow
-pieces, multiplication by p^s, and the profile of valuations of all the
-p^s-multiples, together with its exact inverse; these find the exponents
-of a prime in the invariant factors by division.
+pieces, the valuation of |p^s G| for a shift s, and the profile of those
+valuations over all p and s, together with its exact inverse.  Each reads
+the exponents of a prime in the invariant factors, found by division;
+no p^s G is built.
 """
 
 import os
@@ -326,22 +327,6 @@ class FinAbGroup:
             raise NotPrimeError(f"{p} is not prime")
         return FinAbGroup([p**e for e in self._exponents(p)])
 
-    def p_power_multiply(self, p, s):
-        """The subgroup p^s * G.
-
-        Multiplication by p^s is invertible away from p and divides each
-        cyclic p-power piece down by p^s, so Z_{p^a u} maps onto
-        Z_{p^{max(a-s,0)} u}.
-        """
-        if not _is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
-        if not isinstance(s, int) or s < 0:
-            raise ValueError("shift must be a nonnegative integer")
-        if s == 0:
-            return self
-        pairs = zip(self._factors, self._exponents(p))
-        return FinAbGroup([f // p ** min(e, s) for f, e in pairs])
-
     def valuation_profile(self):
         """Profile {(p, s): v_p(|p^s G|)} over all entries that are nonzero;
         the largest invariant factor is the one number factored."""
@@ -389,9 +374,6 @@ class FinAbGroup:
             for t, q in enumerate(reversed(powers)):
                 factors[t] *= q
         return cls(factors)
-
-    def is_isomorphic(self, other):
-        return self._factors == other._factors
 
     def spec_string(self):
         """Round-trips through ``from_spec``."""
@@ -451,20 +433,8 @@ class ValuationProfile:
                 clean[(p, s)] = val
         self._entries = dict(sorted(clean.items()))
 
-    def value(self, p, s):
-        return self._entries.get((p, s), 0)
-
     def items(self):
         return self._entries.items()
-
-    def keys(self):
-        return self._entries.keys()
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
 
     def __eq__(self, other):
         if not isinstance(other, ValuationProfile):

@@ -226,8 +226,14 @@ def enumerate_subgroups(g):
     Every subgroup is the join of its cyclic subgroups, so the closure that
     repeatedly joins known subgroups with cyclic ones reaches the full
     subgroup lattice.  Refused past AUGQ_MAX_ORDER (default 64), like every
-    constructor here.
+    constructor here.  ``table_of_marks`` and ``burnside_ring`` start here,
+    so this is where a group that is not a CayleyGroup is refused.
     """
+    if not isinstance(g, CayleyGroup):
+        raise BadParameterError(
+            f"expected a CayleyGroup, got {type(g).__name__}; "
+            "cayley_from_abelian gives one for a FinAbGroup"
+        )
     _check_order(g.order)
     cyclic = {_close_subset(g, (x,)) for x in range(g.order)}
     subgroups = set(cyclic)

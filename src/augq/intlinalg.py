@@ -13,16 +13,16 @@ fixed once so that canonical equality does real work:
 
 Witnesses come out of the same elimination as the normal forms: as in
 Cohen, GTM 138, §2.4, an identity block rides along as trailing entries:
-``hnf`` appends e_i to row i, ``kernel_basis`` appends e_j to column j,
-and ``snf`` eliminates inside the top-left block of [[A, I], [I, 0]].
-The transforms are then sliced out of the trailing rows and columns.
+``kernel_basis`` appends e_j to column j, and ``snf`` eliminates inside
+the top-left block of [[A, I], [I, 0]].  The kernel vectors and the
+transforms are then sliced out of the trailing rows and columns.
 
 Sizes are desk scale (dimensions up to about a hundred).  Plain echelon
 insertion can still grow intermediate coefficients far past the size of
 the canonical result, so ``lattice_from_generators`` also takes a modulus:
 for a lattice known to contain d·Z^n it works modulo d (Domich–Kannan–
 Trotter 1987; Cohen, GTM 138, §2.4.2), and the echelon's entries stay
-within [0, d].  The exact paths (``hnf``, ``kernel_basis`` and
+within [0, d].  The exact paths (``kernel_basis`` and
 ``lattice_from_generators`` without a modulus) run through
 ``_Echelon.insert``; the modular path packs each row into one int of
 fixed-width slots, so a row operation modulo d is a few big-int operations.
@@ -43,7 +43,6 @@ __all__ = [
     "InvariantFactors",
     "Lattice",
     "NotASublatticeError",
-    "hnf",
     "kernel_basis",
     "lattice_from_generators",
     "quotient_invariants",
@@ -109,27 +108,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def __matmul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        # each output row is a combination of other's rows; zeros are skipped
-        out = []
-        for row in self.data:
-            acc = [0] * other.ncols
-            for x, orow in zip(row, other.data):
-                if x:
-                    acc = [a + x * b for a, b in zip(acc, orow)]
-            out.append(acc)
-        return IntMatrix(out, ncols=other.ncols)
 
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -261,10 +239,10 @@ class _Echelon:
 
     Pivots are sought only in the first ``ncols`` entries.  A row may be
     longer: its trailing entries take part in every row operation without
-    ever holding a pivot.  That is how ``hnf`` carries its unimodular
-    transform and ``kernel_basis`` its kernel vectors.  Entries are exact
-    and unbounded; the modular path of ``lattice_from_generators`` keeps its
-    own packed echelon instead (see ``_modular_basis``).
+    ever holding a pivot.  That is how ``kernel_basis`` carries its kernel
+    vectors.  Entries are exact and unbounded; the modular path of
+    ``lattice_from_generators`` keeps its own packed echelon instead (see
+    ``_modular_basis``).
     """
 
     def __init__(self, ncols):
@@ -359,11 +337,6 @@ class Lattice:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self._rows = rows
-
-    @classmethod
-    def standard(cls, n):
-        """The full lattice Z^n."""
-        return cls(n, IntMatrix.identity(n))
 
     @classmethod
     def zero(cls, n):
@@ -470,11 +443,6 @@ class Lattice:
 
     def contains(self, vec):
         return self.coordinates(vec) is not None
-
-    def contains_lattice(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(self.contains(row) for row in other.basis.data)
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -612,29 +580,8 @@ def lattice_from_generators(ambient_dim, generators, modulus=None):
     return Lattice(ambient_dim, IntMatrix(ech.rows, ncols=ambient_dim))
 
 
-def hnf(m):
-    """Hermite normal form of the rows of ``m``.
-
-    Returns ``(h, u)`` where ``h`` is the canonical lattice spanned by the
-    rows and ``u`` is unimodular with ``u @ m`` equal to the basis rows of
-    ``h`` followed by zero rows.  Row i goes in as ``m[i] + e_i``, so the
-    trailing ``m.nrows`` entries of every row end up as the rows of ``u``.
-    """
-    n = m.ncols
-    ech = _Echelon(n)
-    absorbed = []
-    for row, e in zip(m.data, IntMatrix.identity(m.nrows).data):
-        v = ech.insert(row + e)
-        if v is not None:
-            absorbed.append(v)
-    ech.canonicalize()
-    h = Lattice(n, IntMatrix([r[:n] for r in ech.rows], ncols=n))
-    u = IntMatrix([r[n:] for r in ech.rows + absorbed], ncols=m.nrows)
-    return h, u
-
-
 def kernel_basis(m):
-    """Canonical basis of the integer kernel {x : m @ x^T == 0}.
+    """Canonical basis of the integer kernel {x : m·x^T = 0}.
 
     Column j goes through an echelon as ``col_j + e_j``.  A column that
     reduces to zero leaves in its trailing entries an integer dependency
@@ -754,7 +701,7 @@ def _snf_core(a, nrows, ncols):
 
 
 def snf(m):
-    """Smith normal form: returns (s, u, v) with s == u @ m @ v diagonal,
+    """Smith normal form: returns (s, u, v) with s = u·m·v diagonal,
     nonnegative, divisibility-chained, zeros last; u and v unimodular.
 
     The elimination runs on the block matrix [[m, I], [I, 0]]; afterwards

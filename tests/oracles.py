@@ -3,9 +3,9 @@
 Deliberately naive: cofactor determinants, minor-gcd invariant factors, a
 textbook row-reduction HNF, brute-force subgroup search, and a floating
 point character table for dihedral groups.  No oracle calls into augq,
-so agreement is evidence rather than tautology.  The two seeded
-generators at the end are test data, not oracles: they build their groups
-with augq.
+so agreement is evidence rather than tautology.  The three helpers at the
+end are test data, not oracles: they build their lattices and groups with
+augq.
 """
 
 import math
@@ -14,7 +14,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from augq.abgroup import FinAbGroup
-from augq.intlinalg import Lattice, lattice_from_generators, quotient_invariants
+from augq.intlinalg import (
+    IntMatrix,
+    Lattice,
+    lattice_from_generators,
+    quotient_invariants,
+)
 
 
 def det_laplace(rows):
@@ -166,15 +171,13 @@ def v_p(n, p):
     return k
 
 
-def valuation_from_factors(factors, p, s):
-    """Closed form for the p-valuation of |p^s G| from invariant factors."""
-    return sum(max(v_p(f, p) - s, 0) for f in factors)
-
-
 def valuation_by_multiplication(g, p, s):
-    """v_p(|p^s G|) by its definition: build p^s G, then read the p-part of
-    its order."""
-    return g.p_power_multiply(p, s).p_valuation(p)
+    """v_p(|p^s G|) by its definition: p^s maps a cyclic piece Z/f onto one
+    of order f / gcd(f, p^s), so |p^s G| is the product of those orders."""
+    order = 1
+    for f in g.invariant_factors:
+        order *= f // math.gcd(f, p**s)
+    return v_p(order, p)
 
 
 def invariant_factors_primary(orders):
@@ -272,6 +275,11 @@ def solve_exact(a, b):
     return [row[n] for row in m]
 
 
+def standard_lattice(n):
+    """The full lattice Z^n."""
+    return Lattice(n, IntMatrix.identity(n))
+
+
 def random_group(seed, max_rank=4, max_prime_power=64):
     """Deterministic pseudo-random finite abelian group for a given seed."""
     rng = random.Random(seed)
@@ -299,5 +307,5 @@ def random_subgroup_quotient(seed, g):
     mid = lattice_from_generators(k, gens)
     rel = lattice_from_generators(k, relations)
     sub = quotient_invariants(mid, rel)
-    quo = quotient_invariants(Lattice.standard(k), mid)
+    quo = quotient_invariants(standard_lattice(k), mid)
     return FinAbGroup(sub.factors), FinAbGroup(quo.factors)

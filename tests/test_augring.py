@@ -159,7 +159,7 @@ def test_ideal_powers_chain_and_rank():
         powers = ring.ideal_powers(6)
         r = powers[0].rank
         for big, small in zip(powers, powers[1:]):
-            assert big.contains_lattice(small)
+            assert all(big.contains(row) for row in small.basis.data)
             assert small.rank == r
 
 
@@ -292,7 +292,7 @@ def test_chain_c2xc2xc8_to_twenty():
     powers = ring.ideal_powers(20)
     assert len(powers) == 21
     for big, small in zip(powers, powers[1:]):
-        assert big.contains_lattice(small)
+        assert all(big.contains(row) for row in small.basis.data)
         assert all(small.contains([d * x for x in row]) for row in big.basis.data)
 
 
@@ -712,6 +712,22 @@ def test_packed_validate_matches_plain_products_on_random_tables():
             assert "associativity: (b{0}*b{1})*b{2} != b{0}*(b{1}*b{2})".format(
                 *triple
             ) in report.failures
+
+
+def test_packed_validate_catches_a_difference_that_narrow_slots_cancel():
+    # x^2 = y, xy = 0, y^2 = 2^k - x on the basis 1, x, y: (x x) y - x (x y)
+    # is (2^k, -1, 0), which packs to 2^k - 2^w with slots of w bits, so to 0
+    # at w = k; one table for each k catches every slot width up to 69 bits
+    for k in range(1, 70):
+        structure = {
+            (0, 0): [1, 0, 0], (0, 1): [0, 1, 0], (0, 2): [0, 0, 1],
+            (1, 1): [0, 0, 1], (1, 2): [0, 0, 0], (2, 2): [2**k, -1, 0],
+        }
+        ring = AugmentedRing(["1", "x", "y"], structure, [1, 0, 0], 0)
+        assert _first_nonassociative_triple(ring) == (1, 1, 2)
+        report = ring.validate()
+        assert report.checks["associativity"] is False, k
+        assert "associativity: (b1*b1)*b2 != b1*(b1*b2)" in report.failures, k
 
 
 # -- serialization -----------------------------------------------------------

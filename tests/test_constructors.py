@@ -156,6 +156,15 @@ def test_enumerate_subgroups_guard(monkeypatch):
     assert enumerate_subgroups(g).orders()[-1] == 8
 
 
+@pytest.mark.parametrize("build", [enumerate_subgroups, table_of_marks, burnside_ring])
+def test_subgroup_builders_refuse_an_abelian_group_spec(build):
+    # parse_group_spec gives a FinAbGroup for an abelian spec, which has no
+    # multiplication table to enumerate
+    with pytest.raises(BadParameterError, match="cayley_from_abelian"):
+        build(parse_group_spec("C2xC4"))
+    assert build(cayley_from_abelian(parse_group_spec("C2xC4"))) is not None
+
+
 def test_constructors_check_the_order_before_building(monkeypatch):
     big = FinAbGroup([65])
     constructions = [
