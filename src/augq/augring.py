@@ -24,7 +24,7 @@ from itertools import chain
 
 from .abgroup import FinAbGroup, TooLargeError, _check_order, read_decimal
 from .abgroup import write_decimal
-from .intlinalg import AugqError, IntMatrix, Lattice, NotASublatticeError, _Record
+from .intlinalg import AugqError, IntMatrix, NotASublatticeError, _Echelon, _Record
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
 __all__ = [
@@ -302,10 +302,13 @@ class AugmentedRing:
         group, since A / I is Z, so no set has fewer than the largest
         p-rank of Q_1 (the Nakayama bound).  The greedy pick can exceed
         it: the Burnside rings of D6, C2xC4, D4 and C12 get 6, 7, 7 and 4
-        generators against bounds of 3, 5, 5 and 2.  It stays because a
-        smaller set does not pay: on the dense-specs benchmark corpus
-        (seed 1), a seeded search that reached the bound took 0.16 s and
-        saved 0.045 s of chain time (Python 3.11, shared 2-vCPU host).
+        generators against bounds of 3, 5, 5 and 2.  That a smaller set
+        does not pay rests on one measurement, on the dense-specs benchmark
+        corpus (seed 1): a seeded search that reached the bound took 0.16 s
+        and saved 0.045 s of chain time (Python 3.11, shared 2-vCPU host).
+        No larger Burnside ring is in that corpus; on C2xC2xC2xC2 the
+        greedy pick takes all 66 rows of I, where an order by L1 norm
+        takes 15.
         """
         return [list(g) for g in self._chain_start()[1]]
 
@@ -314,20 +317,25 @@ class AugmentedRing:
         ring and shared by ``validate`` and ``ideal_powers``.  Row i of L_g
         is b_i·g, so the rows of B·L_g are the products g·b over the rows b
         of a basis B, one ``times`` call per generator; I^2 is spanned by
-        the distinct products g·b with the basis rows of I."""
+        the distinct products g·b with the basis rows of I.  The span of
+        the b_i·g is one running echelon, canonicalized after each g to
+        keep its entries small; a row g that grows it is among its own
+        products (b_i·g = g for the identity b_i)."""
         if self._start is None:
             m = self.dim
             ideal = self.augmentation_ideal()
             gens = []
             ops = []
-            closure = Lattice.zero(m)
+            closure = _Echelon()
             for row in ideal.basis.data:
-                if closure.contains(row):
+                if not closure.insert(row):
                     continue
                 op = [self.multiply(self.basis_vector(i), row) for i in range(m)]
                 gens.append(tuple(row))
                 ops.append(op)
-                closure = lattice_from_generators(m, closure.basis.data + op)
+                for product in op:
+                    closure.insert(product)
+                closure.canonicalize()
             products = {tuple(p): None for op in ops for p in ideal.times(op)}
             square = lattice_from_generators(m, list(products))
             self._start = (ideal, tuple(gens), square, ops)

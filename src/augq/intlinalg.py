@@ -12,25 +12,24 @@ fixed once so that canonical equality does real work:
   only when invariant factors are extracted.
 
 Witnesses come out of the same elimination as the normal forms: as in
-Cohen, GTM 138, §2.4, an identity block rides along as trailing entries:
-``kernel_basis`` appends e_j to column j, and ``snf`` eliminates inside
-the top-left block of [[A, I], [I, 0]].  The kernel vectors and the
-transforms are then sliced out of the trailing rows and columns.
+Cohen, GTM 138, §2.4, ``snf`` eliminates inside the top-left block of
+[[A, I], [I, 0]] and slices the transforms out of the other two blocks.
+``kernel_basis`` reads the kernel off the column transform v of that form.
 
 Sizes are desk scale (dimensions up to about a hundred).  Plain echelon
 insertion can still grow intermediate coefficients far past the size of
 the canonical result, so ``lattice_from_generators`` also takes a modulus:
 for a lattice known to contain d·Z^n it works modulo d (Domich–Kannan–
 Trotter 1987; Cohen, GTM 138, §2.4.2), and the echelon's entries stay
-within [0, d].  The exact paths (``kernel_basis`` and
-``lattice_from_generators`` without a modulus) run through
-``_Echelon.insert``; the modular path packs each row into one int of
-fixed-width slots, so a row operation modulo d is a few big-int operations.
-Only ``Lattice`` knows the sparse form of an HNF basis; callers go through
-its ``coordinates`` (back-substitution), ``times`` (products) and
+within [0, d].  The exact path (``lattice_from_generators`` without a
+modulus) runs through ``_Echelon.insert``; the modular path packs each row
+into one int of fixed-width slots, so a row operation modulo d is a few
+big-int operations.  Only ``Lattice`` knows the sparse form of an HNF
+basis; callers go through its ``coordinates``, ``times`` (products) and
 ``conjugate``, which carries k matrices M acting on Z^n to the matrices X
 with X·B = B·M on a basis B (C·M·C^-1 for a full-rank C) in one pass of
-whole-list operations, the matrices side by side.
+whole-list operations, the matrices side by side.  These and
+``quotient_invariants`` share one back-substitution, ``Lattice._solve``.
 """
 
 import bisect
@@ -236,36 +235,33 @@ class _Echelon:
     Rows are kept with strictly increasing pivot columns.  ``insert`` applies
     invertible integer row operations only, so the accumulated rows always
     span exactly the lattice generated by everything inserted so far.
-
-    Pivots are sought only in the first ``ncols`` entries.  A row may be
-    longer: its trailing entries take part in every row operation without
-    ever holding a pivot.  That is how ``kernel_basis`` carries its kernel
-    vectors.  Entries are exact and unbounded; the modular path of
+    Entries are exact and unbounded; the modular path of
     ``lattice_from_generators`` keeps its own packed echelon instead (see
     ``_modular_basis``).
     """
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.pivots = []
         self.rows = []
 
     def insert(self, row):
         """Reduce ``row`` against the basis, growing it when independent.
 
-        Returns the reduced row when its first ``ncols`` entries reduced to
-        zero (its trailing entries then record how), else None.
+        Returns whether the span grew: whether the row, reduced, met a
+        column with no pivot or a pivot it does not divide (which the gcd
+        then replaces), rather than reducing to zero.
         """
         v = list(row)
-        n = self.ncols
+        n = len(v)
         pivots = self.pivots
         rows = self.rows
+        grew = False
         c = 0
         while True:
             while c < n and not v[c]:
                 c += 1
             if c == n:
-                return v
+                return grew
             idx = bisect.bisect_left(pivots, c)
             if idx < len(pivots) and pivots[idx] == c:
                 h = rows[idx]
@@ -280,11 +276,12 @@ class _Echelon:
                     bf = b // g
                     rows[idx] = [x * p + y * q2 for p, q2 in zip(h, v)]
                     v = [af * q2 - bf * p for p, q2 in zip(h, v)]
+                    grew = True
                 c += 1
             else:
                 pivots.insert(idx, c)
                 rows.insert(idx, v)
-                return None
+                return True
 
     def canonicalize(self):
         """Normalize in place: positive pivots, entries above reduced."""
@@ -310,7 +307,7 @@ class Lattice:
     dimension.  Because the basis is canonical, ``==`` decides equality of
     lattices, not just of generating sets.  Each basis row is also kept in
     sparse form, its nonzero entries as (column, entry) pairs with the pivot
-    first; ``coordinates``, ``times`` and ``conjugate`` walk those.
+    first; ``times`` and ``_solve`` walk those.
     """
 
     __slots__ = ("ambient_dim", "basis", "_rows")
@@ -338,37 +335,16 @@ class Lattice:
         self.basis = basis
         self._rows = rows
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, IntMatrix([], ncols=n))
-
     @property
     def rank(self):
         return self.basis.nrows
 
     def coordinates(self, vec):
-        """Integer coordinates of ``vec`` in this basis, or None if outside.
-
-        Back-substitution against the HNF basis: walk the pivot columns in
-        order; each coefficient is forced by exact divisibility at its pivot.
-        """
+        """Integer coordinates of ``vec`` in this basis, or None if outside."""
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        v = list(vec)
-        coeffs = []
-        for terms in self._rows:
-            c, p = terms[0]
-            q = v[c]
-            if q:
-                q, rem = divmod(q, p)
-                if rem:
-                    return None
-                for k, x in terms:
-                    v[k] -= q * x
-            coeffs.append(q)
-        if any(v):
-            return None
-        return coeffs
+        solved = self._solve([[x] for x in vec])
+        return None if solved is None else [col[0] for col in solved]
 
     def times(self, rows):
         """The rows of B·R for this basis B and the matrix R given by its
@@ -401,14 +377,11 @@ class Lattice:
         outside the lattice.  There are three stages, each on whole lists:
         the product B·[M_1 | ... | M_k] by ``times``, one list operation
         per nonzero entry of B; one block transpose, which stacks column j
-        of every B·M_g into one column; and the solve X_g·B = B·M_g down
-        those stacked columns, again one list operation per nonzero entry
-        of B.  A pivot p > 1 costs one divisibility scan and one exact
-        division of its column, and every column without a pivot must end
-        at zero.  A basis of full rank, such as a step lattice of the
-        ideal-power chain, which contains d·Z^n, has its pivot of row i in
-        column i: every column is a pivot column, and no residual is left
-        to check.  The keys take one operation per column.
+        of every B·M_g into one column; and ``_solve`` for X_g·B = B·M_g
+        down those stacked columns, again one list operation per nonzero
+        entry of B.  A step lattice of the ideal-power chain contains
+        d·Z^n, so every column holds a pivot and no residual is left to
+        check.  The keys take one operation per column.
 
         >>> c = Lattice(2, IntMatrix([[1, 1], [0, 2]]))
         >>> c.conjugate([[1, 0, 0, 2], [0, 3, 2, 0]], 5)
@@ -417,7 +390,26 @@ class Lattice:
         n = self.ambient_dim
         if len(side) != n:
             raise ValueError("side must have ambient_dim rows")
-        cols = _block_transpose(self.times(side), n)
+        solved = self._solve(_block_transpose(self.times(side), n))
+        if solved is None:
+            return None
+        d = modulus
+        keys = []
+        for col in reversed(solved):
+            if keys:
+                keys = [key * d + y % d for key, y in zip(keys, col)]
+            else:
+                keys = [y % d for y in col]
+        return _block_transpose(solved, self.rank), keys
+
+    def _solve(self, cols):
+        """Back-substitution for many vectors at once, down ``cols``, the
+        ambient_dim columns of the vectors stacked as rows (used up).
+        Returns one column of coordinates per basis row, or None when some
+        vector is outside.  A pivot p > 1 costs one divisibility scan and
+        one exact division of its column, and every column without a pivot
+        must end at zero.
+        """
         solved = []
         for terms in self._rows:
             c, p = terms[0]
@@ -432,17 +424,7 @@ class Lattice:
             solved.append(col)
         if any(col and any(col) for col in cols):
             return None
-        d = modulus
-        keys = []
-        for col in reversed(solved):
-            if keys:
-                keys = [key * d + y % d for key, y in zip(keys, col)]
-            else:
-                keys = [y % d for y in col]
-        return _block_transpose(solved, self.rank), keys
-
-    def contains(self, vec):
-        return self.coordinates(vec) is not None
+        return solved
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -571,7 +553,7 @@ def lattice_from_generators(ambient_dim, generators, modulus=None):
             raise ValueError("modulus must be a positive integer")
         basis = _modular_basis(ambient_dim, generators, modulus)
         return Lattice(ambient_dim, IntMatrix(basis, ncols=ambient_dim))
-    ech = _Echelon(ambient_dim)
+    ech = _Echelon()
     for g in generators:
         if len(g) != ambient_dim:
             raise ValueError("generator length does not match ambient dimension")
@@ -583,20 +565,13 @@ def lattice_from_generators(ambient_dim, generators, modulus=None):
 def kernel_basis(m):
     """Canonical basis of the integer kernel {x : m·x^T = 0}.
 
-    Column j goes through an echelon as ``col_j + e_j``.  A column that
-    reduces to zero leaves in its trailing entries an integer dependency
-    among the columns, i.e. a kernel vector.  The trailing block starts
-    unimodular, so these vectors span the whole kernel, not a finite-index
-    piece of it.
+    With s = u·m·v the Smith form, m·v = u^-1·s vanishes on the columns of
+    v past the rank of s, and v is unimodular, so those columns span the
+    whole kernel, not a finite-index piece of it.
     """
-    ech = _Echelon(m.nrows)
-    kern = _Echelon(m.ncols)
-    for j, e in enumerate(IntMatrix.identity(m.ncols).data):
-        v = ech.insert([row[j] for row in m.data] + e)
-        if v is not None:
-            kern.insert(v[m.nrows:])
-    kern.canonicalize()
-    return Lattice(m.ncols, IntMatrix(kern.rows, ncols=m.ncols))
+    s, _, v = snf(m)
+    rank = sum(1 for i in range(min(m.nrows, m.ncols)) if s.data[i][i])
+    return lattice_from_generators(m.ncols, list(zip(*v.data))[rank:])
 
 
 def _snf_core(a, nrows, ncols):
@@ -728,15 +703,14 @@ def quotient_invariants(sup, sub):
     """
     if sup.ambient_dim != sub.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    coords = []
-    for k, row in enumerate(sub.basis.data):
-        c = sup.coordinates(row)
-        if c is None:
-            raise NotASublatticeError(
-                f"basis row {k} of the claimed sublattice is outside the enclosure"
-            )
-        coords.append(c)
-    return smith_invariants(coords, sup.rank)
+    solved = sup._solve(_block_transpose(sub.basis.tolist(), sup.ambient_dim))
+    if solved is None:
+        rows = sub.basis.data
+        k = next(k for k, row in enumerate(rows) if sup.coordinates(row) is None)
+        raise NotASublatticeError(
+            f"basis row {k} of the claimed sublattice is outside the enclosure"
+        )
+    return smith_invariants(list(zip(*solved)), sup.rank)
 
 
 def smith_invariants(rows, ncols):

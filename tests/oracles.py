@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
 Deliberately naive: cofactor determinants, minor-gcd invariant factors, a
-textbook row-reduction HNF, brute-force subgroup search, and a floating
-point character table for dihedral groups.  No oracle calls into augq,
-so agreement is evidence rather than tautology.  The three helpers at the
-end are test data, not oracles: they build their lattices and groups with
-augq.
+textbook row-reduction HNF, an integer kernel by column echelon,
+back-substitution one vector at a time, brute-force subgroup search, and a
+floating point character table for dihedral groups.  No oracle calls into
+augq, so agreement is evidence rather than tautology.  The four helpers at
+the end are test data, not oracles: they build their lattices and groups
+with augq.
 """
 
 import math
@@ -74,6 +75,65 @@ def hnf_oracle(rows):
                 m[i] = [a - q * b for a, b in zip(m[i], m[top])]
         top += 1
     return m[:top]
+
+
+def kernel_by_column_echelon(rows, ncols):
+    """Integer kernel {x : rows·x^T = 0} as a canonical basis (``hnf_oracle``).
+
+    Column j goes through a row echelon as ``col_j + e_j``, two rows meeting
+    at a pivot column being reduced by Euclid's algorithm on that column.  A
+    column whose first len(rows) entries reduce to zero leaves an integer
+    dependency among the columns, a kernel vector, in its trailing entries;
+    the trailing block starts unimodular, so these span the whole kernel.
+    """
+    nrows = len(rows)
+    echelon = {}
+    kernel = []
+    for j in range(ncols):
+        v = [row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+        for c in range(nrows):
+            if not v[c]:
+                continue
+            if c not in echelon:
+                echelon[c] = v
+                break
+            h = echelon[c]
+            while v[c]:
+                q = h[c] // v[c]
+                h, v = v, [a - q * b for a, b in zip(h, v)]
+            echelon[c] = h
+        else:
+            kernel.append(v[nrows:])
+    return hnf_oracle(kernel)
+
+
+def coordinates_by_back_substitution(basis, vec):
+    """Coordinates of ``vec`` in the rows of an HNF ``basis``, or None when
+    it is outside their span: one vector at a time, each coefficient forced
+    by exact division at its row's pivot."""
+    v = list(vec)
+    coeffs = []
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return None
+        v = [a - q * b for a, b in zip(v, row)]
+        coeffs.append(q)
+    return None if any(v) else coeffs
+
+
+def quotient_by_minors(sup_basis, sub_basis):
+    """(factors, free rank) of span(sup_basis)/span(sub_basis), both HNF
+    bases, or the index of the first row of ``sub_basis`` outside the span
+    of ``sup_basis``.  Keep the ranks at 5 or less (``invariant_factors_minors``)."""
+    coords = []
+    for k, row in enumerate(sub_basis):
+        c = coordinates_by_back_substitution(sup_basis, row)
+        if c is None:
+            return k
+        coords.append(c)
+    return tuple(invariant_factors_minors(coords)), len(sup_basis) - len(sub_basis)
 
 
 def _minor_gcd(rows, k):
@@ -278,6 +338,11 @@ def solve_exact(a, b):
 def standard_lattice(n):
     """The full lattice Z^n."""
     return Lattice(n, IntMatrix.identity(n))
+
+
+def zero_lattice(n):
+    """The zero sublattice of Z^n: a basis with no rows."""
+    return Lattice(n, IntMatrix([], ncols=n))
 
 
 def random_group(seed, max_rank=4, max_prime_power=64):

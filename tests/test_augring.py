@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -159,7 +161,7 @@ def test_ideal_powers_chain_and_rank():
         powers = ring.ideal_powers(6)
         r = powers[0].rank
         for big, small in zip(powers, powers[1:]):
-            assert all(big.contains(row) for row in small.basis.data)
+            assert all(big.coordinates(row) is not None for row in small.basis.data)
             assert small.rank == r
 
 
@@ -220,12 +222,50 @@ def test_ideal_generators_close_to_the_ideal_on_corpus():
         ring = build_corpus_ring(family, spec)
         ideal = ring.augmentation_ideal()
         gens = ring.ideal_generators()
-        assert all(ideal.contains(g) for g in gens)
+        assert all(ideal.coordinates(g) is not None for g in gens)
         closure = lattice_from_generators(
             ring.dim,
             [ring.multiply(ring.basis_vector(i), g) for g in gens for i in range(ring.dim)],
         )
         assert closure == ideal, (family, spec)
+
+
+def test_ideal_generators_are_frozen_on_the_corpus_and_rebased_copies():
+    # the picks of the closure that rebuilt a canonical lattice for every
+    # generator; the running echelon must pick the same rows.  Rebased
+    # copies stop at dimension 12, where rebasing stays cheap.
+    picked = []
+    for family, spec in corpus_ring_specs():
+        ring = build_corpus_ring(family, spec)
+        picked.append(ring.ideal_generators())
+        if 2 <= ring.dim <= 12:
+            rebased = _rebased(ring, random.Random(f"generators {family}:{spec}"))
+            picked.append(rebased.ideal_generators())
+    assert (len(picked), sum(map(len, picked))) == (95, 245)
+    digest = hashlib.sha256(json.dumps(picked).encode()).hexdigest()
+    assert digest == "6e31e2e62064651ca30f18c3b05bdc425b206c376e9848d3bc315ad4811295b5"
+
+
+@pytest.mark.parametrize(
+    "family,spec,k",
+    [("group-ring", "C8", 1), ("group-ring", "C2xC2xC8", 3), ("burnside", "D6", 6),
+     ("burnside", "C2xC4", 7), ("burnside", "C2xC2xC2", 15)],
+)
+def test_chain_start_builds_one_lattice_whatever_the_generator_count(
+    family, spec, k, monkeypatch
+):
+    ring = build_corpus_ring(family, spec)
+    calls = []
+    build = augring.lattice_from_generators
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(augring, "lattice_from_generators", counting)
+    assert len(ring.ideal_generators()) == k
+    # the square; the closure keeps one running echelon instead
+    assert len(calls) == 1
 
 
 def test_ideal_generators_are_fresh_lists():
@@ -292,8 +332,9 @@ def test_chain_c2xc2xc8_to_twenty():
     powers = ring.ideal_powers(20)
     assert len(powers) == 21
     for big, small in zip(powers, powers[1:]):
-        assert all(big.contains(row) for row in small.basis.data)
-        assert all(small.contains([d * x for x in row]) for row in big.basis.data)
+        assert all(big.coordinates(row) is not None for row in small.basis.data)
+        for row in big.basis.data:
+            assert small.coordinates([d * x for x in row]) is not None
 
 
 def _rebased(ring, rng):

@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,18 +11,24 @@ from augq.intlinalg import (
     InvariantFactors,
     Lattice,
     NotASublatticeError,
+    _Echelon,
     kernel_basis,
     lattice_from_generators,
     quotient_invariants,
     snf,
 )
+from conftest import build_corpus_ring
 from oracles import (
+    coordinates_by_back_substitution,
     det_laplace,
     hnf_oracle,
     invariant_factors_minors,
+    kernel_by_column_echelon,
     matmul,
+    quotient_by_minors,
     random_unimodular,
     standard_lattice,
+    zero_lattice,
 )
 
 
@@ -136,14 +144,14 @@ def test_lattice_validation_rejects_non_hnf():
 
 def test_lattice_membership_and_coordinates():
     lat = lattice_from_generators(2, [[2, 0], [0, 2]])
-    assert lat.contains([4, -2])
-    assert not lat.contains([1, 0])
+    assert lat.coordinates([1, 0]) is None
     assert lat.coordinates([4, -2]) == [2, -1]
     assert lat.coordinates([1, 1]) is None
-    assert Lattice.zero(3).coordinates([0, 0, 0]) == []
+    assert zero_lattice(3).coordinates([0, 0, 0]) == []
     line = lattice_from_generators(3, [[5, 0, 1]])
-    assert all(standard_lattice(3).contains(row) for row in line.basis.data)
-    assert not all(line.contains(row) for row in standard_lattice(3).basis.data)
+    z3 = standard_lattice(3)
+    assert all(z3.coordinates(row) is not None for row in line.basis.data)
+    assert not all(line.coordinates(row) is not None for row in z3.basis.data)
 
 
 def test_lattice_coordinates_and_times_match_oracles():
@@ -252,8 +260,8 @@ def test_batched_conjugation_edge_cases():
     lat = Lattice(2, IntMatrix([[1, 1], [0, 2]]))
     # C·M·C^-1 has 1/2 in its corner
     assert lat.conjugate([[0, 1], [0, 0]], 3) is None
-    assert Lattice.zero(0).conjugate([], 5) == ([], [])
-    assert Lattice.zero(2).conjugate([[1, 2], [3, 4]], 5) == ([], [])
+    assert zero_lattice(0).conjugate([], 5) == ([], [])
+    assert zero_lattice(2).conjugate([[1, 2], [3, 4]], 5) == ([], [])
     assert standard_lattice(1).conjugate([[4, -9]], 5) == ([[4, -9]], [4, 1])
     # the span of e_0 is kept by a matrix with first row (a, 0), and left
     # by one that sends e_0 to e_1
@@ -262,6 +270,34 @@ def test_batched_conjugation_edge_cases():
     assert line.conjugate([[0, 1], [0, 0]], 2) is None
     with pytest.raises(ValueError):
         line.conjugate([[1, 0]], 3)
+
+
+def test_echelon_insert_reports_whether_the_span_grew():
+    # rows with small entries, a third of them combinations of earlier rows:
+    # the span grows by a new pivot, by a pivot replaced with a proper
+    # divisor, or not at all
+    rng = random.Random(31)
+    counts = {"pivot": 0, "divisor": 0, "none": 0}
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        ech = _Echelon()
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            if rows and rng.randrange(3) == 0:
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+            else:
+                row = [rng.randint(-4, 4) for _ in range(n)]
+            before = hnf_oracle(rows)
+            pivots = len(ech.pivots)
+            rows.append(row)
+            grew = ech.insert(row)
+            assert grew == (hnf_oracle(rows) != before)
+            kind = "none" if not grew else "pivot" if len(ech.pivots) > pivots else "divisor"
+            counts[kind] += 1
+        ech.canonicalize()
+        assert ech.rows == hnf_oracle(rows)
+    assert min(counts.values()) >= 100, counts
 
 
 def test_generators_frozen_example():
@@ -302,7 +338,66 @@ def test_kernel_is_saturated():
             vecs = [[a, b, c][:nc] for a in span for b in span for c in span]
             for v in vecs:
                 if all(sum(m.data[i][j] * v[j] for j in range(nc)) == 0 for i in range(nr)):
-                    assert k.contains(v)
+                    assert k.coordinates(v) is not None
+
+
+def _random_kernel_case(rng):
+    """A seeded 1-4 x 1-7 matrix with entries in [-5, 5], now and then with
+    a zero row, a zero column or a row that is a combination of others."""
+    nr = rng.randrange(1, 5)
+    nc = rng.randrange(1, 8)
+    rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+    kind = rng.randrange(4)
+    if kind == 1:
+        rows[rng.randrange(nr)] = [0] * nc
+    elif kind == 2:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0
+    elif kind == 3 and nr > 1:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[rng.randrange(nr - 1)])]
+    return rows, nc
+
+
+def test_kernel_basis_matches_the_column_echelon_oracle():
+    rng = random.Random(2024)
+    deficient = 0
+    for _ in range(3000):
+        rows, nc = _random_kernel_case(rng)
+        got = kernel_basis(IntMatrix(rows)).basis.tolist()
+        assert got == kernel_by_column_echelon(rows, nc), rows
+        deficient += len(got) > nc - len(rows)
+    assert deficient >= 500
+    for m in EDGE_MATRICES:
+        want = kernel_by_column_echelon(m.data, m.ncols)
+        assert kernel_basis(m).basis.tolist() == want
+
+
+def _workload_augmentation_rows():
+    """The augmentation row of every ring the four benchmark workloads
+    sweep, dense-specs at seed 1; ``bench/workloads.py`` imports no augq."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rings = {
+        (family, group)
+        for name in ("acceptance-corpus", "wide-rings", "coeff-blowup")
+        for family, group in workloads.WORKLOADS[name]["rings"]
+    }
+    rows = [list(build_corpus_ring(*ring).augmentation) for ring in sorted(rings)]
+    base_rings = workloads.load_json(workloads.BASE_RINGS_PATH)
+    rows += [spec["augmentation"] for _, _, spec in workloads.dense_specs(1, base_rings)]
+    return rows
+
+
+def test_kernel_basis_matches_the_oracle_on_workload_augmentation_rows():
+    rows = _workload_augmentation_rows()
+    assert len(rows) == 188 and max(map(len, rows)) == 67
+    for row in rows:
+        want = kernel_by_column_echelon([row], len(row))
+        assert kernel_basis(IntMatrix([row])).basis.tolist() == want
 
 
 # -- SNF ---------------------------------------------------------------------
@@ -362,7 +457,7 @@ def test_quotient_frozen_examples():
     q = quotient_invariants(z2, z2)
     assert q.factors == () and q.free_rank == 0
 
-    q = quotient_invariants(z2, Lattice.zero(2))
+    q = quotient_invariants(z2, zero_lattice(2))
     assert q.factors == () and q.free_rank == 2
 
 
@@ -370,6 +465,48 @@ def test_quotient_rejects_non_sublattice():
     lat = lattice_from_generators(2, [[2, 0], [0, 2]])
     with pytest.raises(NotASublatticeError):
         quotient_invariants(lat, standard_lattice(2))
+
+
+def test_coordinates_and_quotients_match_back_substitution_oracles():
+    # HNF bases of full rank, of lower rank (columns without a pivot keep a
+    # residual to check) and of rank 0, against vectors inside and outside
+    # and against sublattices, some with a row outside
+    rng = random.Random(29)
+    ranks = set()
+    outside = rejected = 0
+    for case in range(400):
+        n = rng.randrange(1, 6)
+        rank = (n, rng.randrange(n), 0)[case % 3]
+        sup = hnf_oracle(matmul(
+            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)],
+            random_unimodular(rng, n),
+        )) if rank else []
+        lat = Lattice(n, IntMatrix(sup, ncols=n))
+        ranks.add((lat.rank == n, lat.rank))
+        for _ in range(3):
+            if sup and rng.randrange(2):
+                coeffs = [rng.randint(-4, 4) for _ in sup]
+                vec = [sum(c * row[j] for c, row in zip(coeffs, sup)) for j in range(n)]
+            else:
+                vec = [rng.randint(-6, 6) for _ in range(n)]
+            want = coordinates_by_back_substitution(sup, vec)
+            outside += want is None
+            assert lat.coordinates(vec) == want
+        gens = [[rng.randint(-3, 3) for _ in sup] for _ in range(rng.randrange(len(sup) + 1))]
+        sub = hnf_oracle(matmul(gens, sup)) if gens and sup else []
+        if rng.randrange(4) == 0:
+            sub = hnf_oracle(sub + [[rng.randint(-6, 6) for _ in range(n)]])
+        want = quotient_by_minors(sup, sub)
+        sub = Lattice(n, IntMatrix(sub, ncols=n))
+        if isinstance(want, int):
+            rejected += 1
+            with pytest.raises(NotASublatticeError, match=f"basis row {want} "):
+                quotient_invariants(lat, sub)
+        else:
+            got = quotient_invariants(lat, sub)
+            assert (got.factors, got.free_rank) == want
+    assert {r for full, r in ranks if not full} >= {0, 1, 2, 3}
+    assert outside >= 300 and rejected >= 40
 
 
 def test_quotient_order_equals_det_index():
@@ -398,7 +535,7 @@ def test_modular_generators_reinsert_multiples_of_modulus():
     # modulo 4 the rows (2, 1), (0, 4) echelonize {(2, 1)} + 4Z^2, yet miss (4, 0)
     lat = lattice_from_generators(2, [[2, 1]], modulus=4)
     assert lat.basis.tolist() == hnf_oracle([[2, 1], [4, 0], [0, 4]]) == [[2, 1], [0, 2]]
-    assert lat.contains([4, 0]) and lat.contains([0, 4])
+    assert lat.coordinates([4, 0]) == [2, -1] and lat.coordinates([0, 4]) == [0, 2]
 
 
 def test_modular_generators_match_oracle():
