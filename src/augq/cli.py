@@ -6,6 +6,11 @@ family flag; outputs go to stdout (or --out) as an aligned table, JSON, or
 CSV.  Table output is for humans and not a stable interface; JSON and CSV
 are.  Identical invocations produce byte-identical output.
 
+Run as the ``augq`` program, ``corpus`` spreads its rings over the usable
+CPUs in forked workers, and its rows stay in input order.  ``main(argv)``
+called in process keeps every ring in the calling process, so a caller
+that patches this package's functions, such as a tracer, sees every call.
+
 Exit codes: 0 success, 1 failed validation or a failed mathematical check,
 2 parse/usage failure, 3 no stable window detected by ``stabilize``.  Every
 error maps to its code through ``AugqError.exit_code``.
@@ -13,6 +18,7 @@ error maps to its code through ``AugqError.exit_code``.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -483,52 +489,105 @@ def _corpus_entries(path):
     return entries
 
 
+def _corpus_row(entry, max_n, window):
+    """The CSV row of one corpus entry, and whether its status is ``ok``."""
+    ring_id, load = _ring_source(*entry)
+    row = {key: "" for key in CORPUS_HEADER}
+    row["ring_id"] = ring_id
+    try:
+        ring = load()
+        report = ring.validate()
+        if not report.passed:
+            row["status"] = "invalid"
+            row["error"] = "; ".join(report.failures)
+        else:
+            rep = build_report(ring, ring_id, max_n=max_n, min_window=window)
+            row["d"] = write_decimal(rep.d)
+            row["r"] = str(rep.r)
+            row["bound_ok"] = "true" if all(rep.bound_ok) else "false"
+            if rep.n0_candidate is None:
+                row["status"] = "inconclusive"
+            else:
+                row["status"] = "ok"
+                row["n0_candidate"] = str(rep.n0_candidate)
+                row["window"] = str(rep.window)
+                tail_group = rep.quotients[-1].group
+                row["tail"] = invariants_cell(tail_group)
+    except AugqError as exc:
+        # Caught here, inside a pool worker: an exception that escapes is
+        # pickled back to the parent, and CliError(message, exit_code) cannot
+        # be rebuilt from its pickle.
+        row["status"] = "error"
+        row["error"] = str(exc)
+    return [row[key] for key in CORPUS_HEADER], row["status"] == "ok"
+
+
+def _worker_start(lifeline, parent_end):
+    """Pool worker set-up: exit at once when the sweep's process is gone.
+
+    The parent holds the only write end of the ``lifeline`` pipe, so a read
+    returns EOF when it exits, however it dies; without this a killed
+    sweep's workers would finish their rings and then fail to report them.
+    """
+    import signal
+    import threading
+
+    os.close(parent_end)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent reports ^C
+    threading.Thread(target=_exit_on_eof, args=(lifeline,), daemon=True).start()
+
+
+def _exit_on_eof(fd):
+    os.read(fd, 1)  # nothing is ever written: this returns at EOF
+    os._exit(1)
+
+
+def _corpus_rows(entries, max_n, window, jobs):
+    """``_corpus_row`` of every entry, in input order, over up to ``jobs``
+    forked processes."""
+    corpus_row = functools.partial(_corpus_row, max_n=max_n, window=window)
+    jobs = min(jobs, len(entries))
+    if jobs < 2 or not hasattr(os, "fork"):
+        return list(map(corpus_row, entries))
+    # imported here so that an empty or one-ring sweep does not pay for it
+    import multiprocessing
+
+    # fork: workers start from the already imported package.  The parent has
+    # no threads when the pool forks; the pool starts its own afterwards.
+    lifeline, parent_end = os.pipe()
+    try:
+        with multiprocessing.get_context("fork").Pool(
+            jobs, _worker_start, (lifeline, parent_end)
+        ) as pool:
+            rows = pool.map(corpus_row, entries, chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        os.close(lifeline)
+        os.close(parent_end)
+    return rows
+
+
 def cmd_corpus(args):
     if args.window > args.max_n:
         raise CliError("--window cannot exceed --max-n", 2)
     entries = _corpus_entries(args.corpus_file)
-    rows = []
-    all_ok = True
-    for kind, spec in entries:
-        ring_id, load = _ring_source(kind, spec)
-        row = {key: "" for key in CORPUS_HEADER}
-        row["ring_id"] = ring_id
-        try:
-            ring = load()
-            report = ring.validate()
-            if not report.passed:
-                row["status"] = "invalid"
-                row["error"] = "; ".join(report.failures)
-                all_ok = False
-            else:
-                rep = build_report(
-                    ring, ring_id, max_n=args.max_n, min_window=args.window
-                )
-                row["d"] = write_decimal(rep.d)
-                row["r"] = str(rep.r)
-                row["bound_ok"] = "true" if all(rep.bound_ok) else "false"
-                if rep.n0_candidate is None:
-                    row["status"] = "inconclusive"
-                    all_ok = False
-                else:
-                    row["status"] = "ok"
-                    row["n0_candidate"] = str(rep.n0_candidate)
-                    row["window"] = str(rep.window)
-                    tail_group = rep.quotients[-1].group
-                    row["tail"] = invariants_cell(tail_group)
-        except AugqError as exc:
-            row["status"] = "error"
-            row["error"] = str(exc)
-            all_ok = False
-        rows.append([row[key] for key in CORPUS_HEADER])
-    text = _format_csv(CORPUS_HEADER, rows)
+    results = _corpus_rows(entries, args.max_n, args.window, args.jobs)
+    text = _format_csv(CORPUS_HEADER, [row for row, _ in results])
     _emit(text, args.out)
-    return 0 if all_ok else 1
+    return 0 if all(ok for _, ok in results) else 1
 
 
-def main(argv=None):
+def main(argv=None, *, jobs=1):
+    """Runs one ``augq`` command; returns its exit code.
+
+    ``jobs`` caps the processes ``corpus`` forks for its rings.  The default,
+    1, keeps every ring in the calling process, where a caller that patches
+    this package's functions (a tracer, a test) sees every call.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.jobs = jobs
     try:
         return args.func(args)
     except AugqError as exc:
@@ -536,5 +595,15 @@ def main(argv=None):
         return exc.exit_code
 
 
+def _program():
+    """The ``augq`` program: ``main`` with corpus rings spread over the
+    CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return main(jobs=cpus)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_program())

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from augq import stabilize
 from augq import cli
 from augq.cli import main
 from augq.stabilize import report_from_json
+from conftest import corpus_ring_specs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -363,6 +366,152 @@ def test_corpus_bad_line(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", str(corpus))
     assert code == 2
     assert "expected" in err
+
+
+# -- corpus over a process pool ----------------------------------------------
+
+
+def mixed_corpus_args(tmp_path):
+    """``corpus`` arguments for eight rings with a row of every status at
+    --max-n 6: ok, inconclusive, invalid, and error (a missing ring file, a
+    bad group spec)."""
+    write_dual_numbers(tmp_path / "dual.json")
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text(
+        "group-ring C2\n"
+        "group-ring C2xC2xC2xC2\n"
+        "ring dual.json\n"
+        "ring missing.json\n"
+        "group-ring C²\n"
+        "burnside C2xC2\n"
+        "rep D4\n"
+        "group-ring C4xC4\n"
+    )
+    return ["corpus", str(corpus), "--max-n", "6", "--window", "5"]
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 9])
+def test_corpus_pool_output_matches_one_process(capsys, tmp_path, jobs):
+    argv = mixed_corpus_args(tmp_path)
+    one = run(capsys, *argv)
+    statuses = {line.split(",")[1] for line in one[1].splitlines()[1:]}
+    assert one[0] == 1 and statuses == {"ok", "inconclusive", "invalid", "error"}
+    assert "cannot read" in one[1]  # a CliError, raised inside a worker
+    code = main(argv, jobs=jobs)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == one
+
+
+def test_corpus_program_output_matches_in_process_on_the_53_ring_corpus(
+    capsys, tmp_path
+):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("".join(f"{f} {s}\n" for f, s in corpus_ring_specs()))
+    code, out, err = run(capsys, "corpus", str(corpus))
+    assert (code, err) == (0, "")
+    done = subprocess.run(
+        [sys.executable, "-m", "augq.cli", "corpus", str(corpus)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("rings", ["", "group-ring C2\n"], ids=["empty", "one-ring"])
+def test_program_imports_no_multiprocessing_below_two_rings(tmp_path, rings):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text(rings)
+    script = (
+        "import sys\n"
+        "from augq import cli\n"
+        "code = cli._program()\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "corpus", str(corpus)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=20,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.splitlines()) == 1 + len(rings.splitlines())
+
+
+@pytest.mark.parametrize(
+    "platform,forks",
+    [("no-fork", False), ("no-affinity-one-cpu", False), ("no-affinity-two-cpus", True)],
+)
+def test_program_falls_back_to_one_process(capsys, monkeypatch, tmp_path, platform, forks):
+    argv = mixed_corpus_args(tmp_path)
+    one = run(capsys, *argv)
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def spy(method):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    if platform == "no-fork":
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        cpus = 1 if platform == "no-affinity-one-cpu" else 2
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sys, "argv", ["augq"] + argv)
+    code = cli._program()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == one
+    assert contexts == (["fork"] if forks else [])
+
+
+def live_group_members(pgid):
+    """Pids of the processes in group ``pgid`` that have not exited."""
+    pids = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError, ValueError):
+            continue  # not a process, or one that just exited
+        if int(pgrp) == pgid and state not in "ZX":
+            pids.append(int(name))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_killed_corpus_sweep_takes_its_workers_with_it(tmp_path):
+    # each Burnside D32 ring takes about a second at --max-n 10
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("burnside D32\n" * 4)
+    script = "import sys; from augq.cli import main; sys.exit(main(sys.argv[1:], jobs=2))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "corpus", str(corpus), "--max-n", "10"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 20
+        while len(live_group_members(proc.pid)) < 3:
+            assert proc.poll() is None, "the sweep ended before its pool started"
+            assert time.monotonic() < deadline, "no pool workers started"
+            time.sleep(0.01)
+        time.sleep(0.3)  # both workers into their first ring
+        proc.kill()
+        proc.wait(timeout=5)
+        killed = time.monotonic()
+        while live_group_members(proc.pid):
+            assert time.monotonic() - killed < 1, "pool workers outlived the sweep"
+            time.sleep(0.01)
+        _, err = proc.communicate(timeout=1)
+        assert err == b""
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
 
 
 def test_marks_guard_rejects_non_integer_env(capsys, monkeypatch):
