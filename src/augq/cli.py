@@ -6,8 +6,9 @@ family flag; outputs go to stdout (or --out) as an aligned table, JSON, or
 CSV.  Table output is for humans and not a stable interface; JSON and CSV
 are.  Identical invocations produce byte-identical output.
 
-Run as the ``augq`` program, ``corpus`` spreads its rings over the usable
-CPUs in forked workers, and its rows stay in input order.  ``main(argv)``
+Run as the ``augq`` program with k usable CPUs, ``corpus`` takes rings in
+the sweep process alongside k - 1 forked children, and its rows stay in
+input order; a child that dies ends the sweep with exit 1.  ``main(argv)``
 called in process keeps every ring in the calling process, so a caller
 that patches this package's functions, such as a tracer, sees every call.
 
@@ -18,7 +19,6 @@ error maps to its code through ``AugqError.exit_code``.
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -514,27 +514,50 @@ def _corpus_row(entry, max_n, window):
                 tail_group = rep.quotients[-1].group
                 row["tail"] = invariants_cell(tail_group)
     except AugqError as exc:
-        # Caught here, inside a pool worker: an exception that escapes is
-        # pickled back to the parent, and CliError(message, exit_code) cannot
-        # be rebuilt from its pickle.
         row["status"] = "error"
         row["error"] = str(exc)
     return [row[key] for key in CORPUS_HEADER], row["status"] == "ok"
 
 
-def _worker_start(lifeline, parent_end):
-    """Pool worker set-up: exit at once when the sweep's process is gone.
+def _claims_pipe(count):
+    """(read end, step): a pipe holding the claims on ``count`` rings.
 
-    The parent holds the only write end of the ``lifeline`` pipe, so a read
-    returns EOF when it exits, however it dies; without this a killed
-    sweep's workers would finish their rings and then fail to report them.
+    Each 4-byte record names a run of ``step`` consecutive rings by its
+    first index.  All records go in with one write of at most PIPE_BUF
+    bytes, which an empty pipe always takes whole, and the write end is
+    closed: a read then returns one whole record or, when none are left,
+    EOF, and a claim never waits on another process.
+    """
+    claims, fill = os.pipe()
+    try:
+        step = -(-count // (os.fpathconf(fill, "PC_PIPE_BUF") // 4))
+        os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(0, count, step)))
+    finally:
+        os.close(fill)
+    return claims, step
+
+
+def _claimed(claims, step, count):
+    """The ring indices this process claims, one record at a time."""
+    while record := os.read(claims, 4):
+        start = int.from_bytes(record, "little")
+        yield from range(start, min(start + step, count))
+
+
+def _corpus_child(lifeline, out, claim_rows):
+    """A forked child's work: its claimed rows, sent as JSON down ``out``.
+
+    The sweep process holds the only write end of the ``lifeline`` pipe, so
+    a read returns EOF when it exits, however it dies; without this a killed
+    sweep's children would finish their rings and then fail to report them.
     """
     import signal
     import threading
 
-    os.close(parent_end)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent reports ^C
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the sweep process reports ^C
     threading.Thread(target=_exit_on_eof, args=(lifeline,), daemon=True).start()
+    with open(out, "wb") as fh:
+        fh.write(json.dumps(claim_rows()).encode())
 
 
 def _exit_on_eof(fd):
@@ -542,29 +565,93 @@ def _exit_on_eof(fd):
     os._exit(1)
 
 
+def _child_failure(pid, status):
+    """The message for a child that did not exit 0, or None."""
+    code = os.waitstatus_to_exitcode(status)
+    if code > 0:
+        return f"corpus worker {pid} exited with status {code}"
+    if code < 0:
+        import signal
+
+        return f"corpus worker {pid} was killed by {signal.Signals(-code).name}"
+    return None
+
+
 def _corpus_rows(entries, max_n, window, jobs):
     """``_corpus_row`` of every entry, in input order, over up to ``jobs``
-    forked processes."""
-    corpus_row = functools.partial(_corpus_row, max_n=max_n, window=window)
-    jobs = min(jobs, len(entries))
-    if jobs < 2 or not hasattr(os, "fork"):
-        return list(map(corpus_row, entries))
-    # imported here so that an empty or one-ring sweep does not pay for it
-    import multiprocessing
+    processes: this one and ``jobs - 1`` forked children.
 
-    # fork: workers start from the already imported package.  The parent has
-    # no threads when the pool forks; the pool starts its own afterwards.
-    lifeline, parent_end = os.pipe()
+    Every process claims the next unclaimed rings from one pipe
+    (``_claims_pipe``) and works through them; each child sends back its
+    ``[index, row, ok]`` triples as one JSON document on a pipe of its own
+    and then ends with ``os._exit``, so it never returns into the caller's
+    stack.  JSON, not pickle: the parent parses only bytes this program
+    wrote, and nothing it reads is unpickled.  ``fork`` is safe here because
+    this process has no other thread when it forks; a caller that started
+    one gets the plain loop.  A child that was killed or exited non-zero
+    ends the sweep with a ``CliError`` naming it, after every child is
+    reaped.
+    """
+    jobs = min(jobs, len(entries))
+    threading = sys.modules.get("threading")  # not imported for this check
+    threaded = threading is not None and threading.active_count() > 1
+    if jobs < 2 or threaded or not hasattr(os, "fork"):
+        return [_corpus_row(entry, max_n, window) for entry in entries]
+
+    claims, step = _claims_pipe(len(entries))
+
+    def claim_rows():
+        return [
+            (i, *_corpus_row(entries[i], max_n, window))
+            for i in _claimed(claims, step, len(entries))
+        ]
+
+    lifeline, alive = os.pipe()
+    children = {}  # pid -> read end of the pipe the child sends its rows down
     try:
-        with multiprocessing.get_context("fork").Pool(
-            jobs, _worker_start, (lifeline, parent_end)
-        ) as pool:
-            rows = pool.map(corpus_row, entries, chunksize=1)
-            pool.close()
-            pool.join()
+        for _ in range(jobs - 1):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (alive, reader, *children.values()):
+                        os.close(fd)
+                    _corpus_child(lifeline, writer, claim_rows)
+                    code = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            os.close(writer)
+            children[pid] = reader
+        triples = claim_rows()
+        failures = []
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as fh:
+                sent = fh.read()
+            failure = _child_failure(pid, os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if failure:
+                failures.append(failure)
+            else:
+                triples += json.loads(sent)
     finally:
-        os.close(lifeline)
-        os.close(parent_end)
+        for fd in (claims, lifeline, alive):
+            os.close(fd)
+        for pid, reader in children.items():
+            os.close(reader)
+            os.waitpid(pid, 0)  # it exits at once: its lifeline is closed
+    if failures:
+        raise CliError("; ".join(failures), 1)
+    rows = [None] * len(entries)
+    for i, row, ok in triples:
+        rows[i] = row, ok
     return rows
 
 
@@ -581,9 +668,10 @@ def cmd_corpus(args):
 def main(argv=None, *, jobs=1):
     """Runs one ``augq`` command; returns its exit code.
 
-    ``jobs`` caps the processes ``corpus`` forks for its rings.  The default,
-    1, keeps every ring in the calling process, where a caller that patches
-    this package's functions (a tracer, a test) sees every call.
+    ``jobs`` caps the processes ``corpus`` sweeps its rings in, the calling
+    one included.  The default, 1, keeps every ring in the calling process,
+    where a caller that patches this package's functions (a tracer, a test)
+    sees every call.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

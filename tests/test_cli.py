@@ -1,9 +1,9 @@
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -368,7 +368,7 @@ def test_corpus_bad_line(capsys, tmp_path):
     assert "expected" in err
 
 
-# -- corpus over a process pool ----------------------------------------------
+# -- corpus over forked processes ---------------------------------------------
 
 
 def mixed_corpus_args(tmp_path):
@@ -396,7 +396,7 @@ def test_corpus_pool_output_matches_one_process(capsys, tmp_path, jobs):
     one = run(capsys, *argv)
     statuses = {line.split(",")[1] for line in one[1].splitlines()[1:]}
     assert one[0] == 1 and statuses == {"ok", "inconclusive", "invalid", "error"}
-    assert "cannot read" in one[1]  # a CliError, raised inside a worker
+    assert "cannot read" in one[1]  # a CliError, raised in whichever process
     code = main(argv, jobs=jobs)
     out = capsys.readouterr()
     assert (code, out.out, out.err) == one
@@ -417,13 +417,18 @@ def test_corpus_program_output_matches_in_process_on_the_53_ring_corpus(
     assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
-@pytest.mark.parametrize("rings", ["", "group-ring C2\n"], ids=["empty", "one-ring"])
-def test_program_imports_no_multiprocessing_below_two_rings(tmp_path, rings):
+@pytest.mark.parametrize(
+    "rings",
+    ["", "group-ring C2\n", "group-ring C2\nburnside S3\nrep D4\n"],
+    ids=["empty", "one-ring", "three-rings"],
+)
+def test_program_never_imports_multiprocessing(tmp_path, rings):
     corpus = tmp_path / "rings.txt"
     corpus.write_text(rings)
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from augq import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "code = cli._program()\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "sys.exit(code)\n"
@@ -437,6 +442,21 @@ def test_program_imports_no_multiprocessing_below_two_rings(tmp_path, rings):
     assert len(done.stdout.splitlines()) == 1 + len(rings.splitlines())
 
 
+def spy_on_fork(monkeypatch):
+    """The list of the pids ``os.fork`` returns in this process."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "platform,forks",
     [("no-fork", False), ("no-affinity-one-cpu", False), ("no-affinity-two-cpus", True)],
@@ -444,14 +464,7 @@ def test_program_imports_no_multiprocessing_below_two_rings(tmp_path, rings):
 def test_program_falls_back_to_one_process(capsys, monkeypatch, tmp_path, platform, forks):
     argv = mixed_corpus_args(tmp_path)
     one = run(capsys, *argv)
-    contexts = []
-    get_context = multiprocessing.get_context
-
-    def spy(method):
-        contexts.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    calls = spy_on_fork(monkeypatch)
     if platform == "no-fork":
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -463,7 +476,58 @@ def test_program_falls_back_to_one_process(capsys, monkeypatch, tmp_path, platfo
     code = cli._program()
     out = capsys.readouterr()
     assert (code, out.out, out.err) == one
-    assert contexts == (["fork"] if forks else [])
+    assert len(calls) == (1 if forks else 0)
+
+
+def test_corpus_forks_nothing_from_a_threaded_process(capsys, monkeypatch, tmp_path):
+    argv = mixed_corpus_args(tmp_path)
+    one = run(capsys, *argv)
+    calls = spy_on_fork(monkeypatch)
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait, daemon=True)
+    thread.start()
+    try:
+        code = main(argv, jobs=2)
+    finally:
+        parked.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == one
+    assert calls == []
+
+
+def test_corpus_claims_more_rings_than_one_pipe_buffer_holds(capsys, tmp_path):
+    # 20,000 claims of 4 bytes each are past a 64 KiB pipe buffer; the forked
+    # sweep runs in a subprocess, so a claim write that blocks fails the test
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("group-ring 1\n" * 20000)
+    argv = ["corpus", str(corpus), "--max-n", "2", "--window", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 20001
+    script = "import sys; from augq.cli import main; sys.exit(main(sys.argv[1:], jobs=2))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
+def test_corpus_reports_children_that_exit_non_zero(capsys, monkeypatch, tmp_path):
+    argv = mixed_corpus_args(tmp_path)
+
+    def fail(lifeline, out, claim_rows):
+        raise RuntimeError("no rows sent")
+
+    monkeypatch.setattr(cli, "_corpus_child", fail)
+    children = spy_on_fork(monkeypatch)
+    code = main(argv, jobs=3)
+    out = capsys.readouterr()
+    assert len(children) == 2 and (code, out.out) == (1, "")
+    assert out.err == "augq: " + "; ".join(
+        f"corpus worker {pid} exited with status 1" for pid in children
+    ) + "\n"
 
 
 def live_group_members(pgid):
@@ -480,38 +544,65 @@ def live_group_members(pgid):
     return pids
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_killed_corpus_sweep_takes_its_workers_with_it(tmp_path):
-    # each Burnside D32 ring takes about a second at --max-n 10
+def start_heavy_sweep(tmp_path, jobs):
+    """A ``jobs``-process sweep in a new session, with its stdout and
+    stderr piped, once all its processes are up; each of its four Burnside
+    D32 rings takes about a second at --max-n 10."""
     corpus = tmp_path / "rings.txt"
     corpus.write_text("burnside D32\n" * 4)
-    script = "import sys; from augq.cli import main; sys.exit(main(sys.argv[1:], jobs=2))"
+    script = f"import sys; from augq.cli import main; sys.exit(main(sys.argv[1:], jobs={jobs}))"
     proc = subprocess.Popen(
         [sys.executable, "-c", script, "corpus", str(corpus), "--max-n", "10"],
         env=dict(os.environ, PYTHONPATH=SRC),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
+    deadline = time.monotonic() + 20
+    while len(live_group_members(proc.pid)) < jobs:
+        if proc.poll() is not None or time.monotonic() > deadline:
+            end_session(proc)
+            pytest.fail("the sweep's children did not start")
+        time.sleep(0.01)
+    time.sleep(0.3)  # every process into its first ring
+    return proc
+
+
+def end_session(proc):
     try:
-        deadline = time.monotonic() + 20
-        while len(live_group_members(proc.pid)) < 3:
-            assert proc.poll() is None, "the sweep ended before its pool started"
-            assert time.monotonic() < deadline, "no pool workers started"
-            time.sleep(0.01)
-        time.sleep(0.3)  # both workers into their first ring
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_killed_corpus_sweep_takes_its_workers_with_it(tmp_path):
+    jobs = 2
+    proc = start_heavy_sweep(tmp_path, jobs)
+    try:
         proc.kill()
         proc.wait(timeout=5)
         killed = time.monotonic()
         while live_group_members(proc.pid):
-            assert time.monotonic() - killed < 1, "pool workers outlived the sweep"
+            assert time.monotonic() - killed < 1, "the children outlived the sweep"
             time.sleep(0.01)
         _, err = proc.communicate(timeout=1)
         assert err == b""
     finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.communicate()
+        end_session(proc)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_killed_child_ends_the_sweep(tmp_path):
+    proc = start_heavy_sweep(tmp_path, 2)
+    try:
+        (child,) = set(live_group_members(proc.pid)) - {proc.pid}
+        os.kill(child, signal.SIGKILL)
+        out, err = proc.communicate(timeout=10)
+        assert (proc.returncode, out) == (1, b"")
+        assert err == f"augq: corpus worker {child} was killed by SIGKILL\n".encode()
+        assert live_group_members(proc.pid) == []
+    finally:
+        end_session(proc)
 
 
 def test_marks_guard_rejects_non_integer_env(capsys, monkeypatch):
