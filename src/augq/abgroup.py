@@ -28,8 +28,6 @@ __all__ = [
     "ParseError",
     "TooLargeError",
     "ValuationProfile",
-    "read_decimal",
-    "write_decimal",
 ]
 
 

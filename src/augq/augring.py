@@ -22,8 +22,7 @@ basis of it, on which g acts by the same matrix.
 
 from itertools import chain
 
-from .abgroup import FinAbGroup, TooLargeError, _check_order, read_decimal
-from .abgroup import write_decimal
+from .abgroup import FinAbGroup, _check_order, read_decimal, write_decimal
 from .intlinalg import AugqError, IntMatrix, NotASublatticeError, _Echelon, _Record
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -33,10 +32,7 @@ __all__ = [
     "QuotientResult",
     "RankDropError",
     "RingSpecError",
-    "TooLargeError",
     "ValidationReport",
-    "decode_int",
-    "encode_int",
 ]
 
 _I64_MIN = -(2**63)
@@ -407,19 +403,14 @@ class AugmentedRing:
         seen = {}
         lattices = []
         period = None
+        # M_g on E_2 is L_g carried to the basis of I^2
+        step = square
+        side = [list(chain.from_iterable(op[i] for op in ops)) for i in range(self.dim)]
         for n in range(2, max_n + 1):
             if period:
                 lattices.append(lattices[-period])
                 continue
-            if n == 2:
-                # M_g on E_2 is L_g carried to the basis of I^2
-                side = [
-                    list(chain.from_iterable(op[i] for op in ops))
-                    for i in range(self.dim)
-                ]
-                out = square.conjugate(side, d)
-            else:
-                out = step.conjugate(side, d)
+            out = step.conjugate(side, d)
             if out is None:
                 raise NotASublatticeError(
                     f"I^{n + 1} is not inside I^{n}; the ring fails its axioms"

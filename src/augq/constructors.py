@@ -12,18 +12,16 @@ container:
 
 import itertools
 
-from .abgroup import BadParameterError, FinAbGroup, ParseError, TooLargeError
-from .abgroup import _check_order, read_decimal
+from .abgroup import BadParameterError, FinAbGroup, ParseError, _check_order
+from .abgroup import read_decimal
 from .augring import AugmentedRing
 from .intlinalg import AugqError
 
 __all__ = [
-    "BadParameterError",
     "CayleyGroup",
     "CayleyTableError",
     "MarksMatrix",
     "SubgroupClasses",
-    "TooLargeError",
     "burnside_ring",
     "cayley_from_abelian",
     "dihedral_group",

@@ -25,7 +25,6 @@ __all__ = [
     "detect_stabilization",
     "lambda_diagnostics",
     "quotient_sequence",
-    "quotient_to_dict",
     "report_csv_rows",
     "report_from_dict",
     "report_from_json",

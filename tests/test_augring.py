@@ -113,6 +113,26 @@ def test_constructor_refuses_a_noncommutative_table():
         )
 
 
+# from_dict refuses each of these first, so only a direct call reaches them
+@pytest.mark.parametrize(
+    "labels,structure,augmentation,identity,message",
+    [
+        ([], {}, [], 0, "at least one basis element"),
+        (["1", "x"], {}, [1], 0, "augmentation vector length"),
+        (["1", "x"], {}, [1, 0], 2, "identity index out of range"),
+        (["1"], {(0, 1): [1]}, [1], 0, r"structure key \(0, 1\) out of range"),
+        (["1"], {(0, 0): [1, 0]}, [1], 0, r"structure vector for \(0, 0\) has wrong"),
+    ],
+    ids=["empty-basis", "augmentation", "identity", "key", "vector"],
+)
+def test_constructor_refuses_malformed_input(
+    labels, structure, augmentation, identity, message
+):
+    with pytest.raises(ValueError, match=message) as exc:
+        AugmentedRing(labels, structure, augmentation, identity)
+    assert exc.type is ValueError
+
+
 def test_multiply_frozen_examples():
     ring = zc2()
     assert ring.multiply([-1, 1], [-1, 1]) == [2, -2]

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -71,6 +73,25 @@ def test_qn_rejects_nonpositive_max_n(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["qn", "stabilize", "corpus"])
+def test_max_n_has_a_ceiling_of_1000(capsys, tmp_path, command):
+    if command == "corpus":
+        corpus = tmp_path / "rings.txt"
+        corpus.write_text("group-ring C2\n")
+        argv = [command, str(corpus)]
+    else:
+        argv = [command, "--group", "C2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-n", "1001"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"augq {command}: error: argument --max-n: must be at most 1000\n")
+    code, out, err = run(capsys, *argv, "--max-n", "1000")
+    assert (code, err) == (0, "")
+    assert "1000" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -86,6 +107,50 @@ def test_qn_rejects_non_decimal_group_spec(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("augq: group spec: ")
+
+
+def test_validate_csv_is_frozen(capsys):
+    code, out, err = run(capsys, "validate", "--group", "C2", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (
+        "check,passed\n"
+        "commutativity,true\n"
+        "associativity,true\n"
+        "identity,true\n"
+        "augmentation_multiplicative,true\n"
+        "augmentation_unit,true\n"
+        "torsion,true\n"
+    )
+
+
+def test_stabilize_csv_is_frozen(capsys):
+    code, out, err = run(
+        capsys, "stabilize", "--group", "C2xC4", "--max-n", "8", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "ring_id,n,invariants,order,bound_ok\n"
+        "group-ring:C2xC4,1,2|4,8,true\n"
+        "group-ring:C2xC4,2,2|2|4,16,true\n"
+        + "".join(f"group-ring:C2xC4,{n},2|2|2|4,32,true\n" for n in range(3, 9))
+    )
+
+
+def test_stabilize_table_names_the_detected_tail(capsys):
+    code, out, err = run(capsys, "stabilize", "--group", "C2xC4", "--max-n", "8")
+    assert (code, err) == (0, "")
+    assert out == (
+        "ring: group-ring:C2xC4\n"
+        "torsion exponent d: 4   free rank r: 7   bound d^r: 16384\n"
+        "stable from n0 = 3 (window 6, certified: no)\n"
+        "n  invariants    order  bound\n"
+        "1  [2, 4]        8      yes\n"
+        "2  [2, 2, 4]     16     yes\n"
+        + "".join(f"{n}  [2, 2, 2, 4]  32     yes\n" for n in range(3, 9))
+        + "valuation rows v_p(|p^s Q_n|), n = 1..N:\n"
+        "  p=2 s=0: 3 4 5 5 5 5 5 5\n"
+        "  p=2 s=1: 1 1 1 1 1 1 1 1\n"
+    )
 
 
 def test_stabilize_json_roundtrip(capsys):
@@ -125,6 +190,13 @@ def test_classify_profile_file(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--profile", str(prof), "--format", "json")
     assert code == 0
     assert json.loads(out) == {"invariant_factors": [3]}
+
+
+def test_classify_profile_file_must_hold_an_object(capsys, tmp_path):
+    prof = tmp_path / "prof.json"
+    prof.write_text("[1, 2]")
+    code, out, err = run(capsys, "classify", "--profile", str(prof))
+    assert (code, out, err) == (2, "", "augq: profile must be a JSON object\n")
 
 
 def test_classify_empty_profile(capsys):
@@ -292,6 +364,13 @@ def test_corpus_empty(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", str(corpus))
     assert code == 0
     assert out == "ring_id,status,d,r,n0_candidate,window,bound_ok,tail,error\n"
+
+
+def test_corpus_window_exceeding_max_n(capsys, tmp_path):
+    corpus = tmp_path / "rings.txt"
+    corpus.write_text("group-ring C2\n")
+    code, out, err = run(capsys, "corpus", str(corpus), "--max-n", "3", "--window", "4")
+    assert (code, out, err) == (2, "", "augq: --window cannot exceed --max-n\n")
 
 
 def test_corpus_invalid_ring_row(capsys, tmp_path):
@@ -1076,3 +1155,18 @@ def test_exported_exceptions_share_the_exit_code_map():
     for name, cls in exported.items():
         assert issubclass(cls, AugqError), name
         assert cls.exit_code in (1, 2), name
+
+
+def test_each_exported_name_is_declared_once_by_its_defining_module():
+    declared = {}
+    for info in pkgutil.iter_modules(augq.__path__):
+        module = importlib.import_module(f"augq.{info.name}")
+        for name in module.__all__:
+            declared.setdefault(name, []).append(module)
+    assert len(set(augq.__all__)) == len(augq.__all__)
+    assert set(augq.__all__) == set(declared) - set(cli.__all__)
+    for name in augq.__all__:
+        (module,) = declared[name]
+        obj = getattr(module, name)
+        assert obj.__module__ == module.__name__, name
+        assert getattr(augq, name) is obj, name

@@ -1,12 +1,11 @@
 import pytest
 
-from augq import constructors
+from augq import TooLargeError, constructors
 from augq.abgroup import FinAbGroup, ParseError
 from augq.constructors import (
     BadParameterError,
     CayleyGroup,
     CayleyTableError,
-    TooLargeError,
     burnside_ring,
     cayley_from_abelian,
     dihedral_group,

@@ -61,6 +61,9 @@ def test_det_small_cases():
     assert IntMatrix([[2, 0], [1, 1]]).det() == 2
     assert IntMatrix([[0, 1], [1, 0]]).det() == -1
     assert IntMatrix.identity(5).det() == 1
+    # no pivot below the diagonal in some column: singular before the end
+    assert IntMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).det() == 0
+    assert IntMatrix([[1, 2, 3], [2, 4, 5], [3, 6, 7]]).det() == 0
 
 
 def test_det_matches_laplace_oracle():
@@ -140,6 +143,25 @@ def test_lattice_validation_rejects_non_hnf():
         Lattice(2, IntMatrix([[1, 0], [0, 0]]))
     with pytest.raises(ValueError):
         Lattice(2, IntMatrix([[1, 5], [0, 3]]))  # 5 not reduced mod 3
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: lattice_from_generators(2, [[1, 2, 3]]), "generator length"),
+        (lambda: lattice_from_generators(2, [[1]], modulus=4), "generator length"),
+        (lambda: Lattice(3, IntMatrix([[1, 0]])), "basis width"),
+        (
+            lambda: quotient_invariants(standard_lattice(3), standard_lattice(2)),
+            "ambient dimensions differ",
+        ),
+    ],
+    ids=["generators", "modular-generators", "lattice-width", "quotient-ambient"],
+)
+def test_shape_checks_refuse_mismatched_dimensions(call, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert exc.type is ValueError
 
 
 def test_lattice_membership_and_coordinates():
