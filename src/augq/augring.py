@@ -35,6 +35,11 @@ __all__ = [
     "ValidationReport",
 ]
 
+# the largest max_n ideal_powers takes: a chain with no exact period keeps
+# the operators of every step, whose entries grow with n: C2xC2xC8 peaks at
+# 132 MiB at max_n 1000, 336 MiB at 2000 and about 5 GiB at 10000
+MAX_N = 1000
+
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -378,12 +383,12 @@ class AugmentedRing:
         in those bases: M_g·E_n is dense and its HNF slows down as n grows,
         while C_n·E_n stays in echelon form.
 
-        Raises RankDropError when I^2 spans less than I does; the
-        consecutive quotients are then not finite and the chain is no
-        longer the object of interest.
+        Raises ValueError unless 1 <= max_n <= MAX_N, and RankDropError
+        when I^2 spans less than I does; the consecutive quotients are then
+        not finite and the chain is no longer the object of interest.
         """
-        if not isinstance(max_n, int) or max_n < 1:
-            raise ValueError("max_n must be a positive integer")
+        if not isinstance(max_n, int) or not 1 <= max_n <= MAX_N:
+            raise ValueError(f"max_n must be an integer from 1 to {MAX_N}")
         ideal, gens, square, ops = self._chain_start()
         if square.rank < ideal.rank:
             raise RankDropError(

@@ -25,7 +25,7 @@ import os
 import sys
 
 from .abgroup import FinAbGroup, ValuationProfile, read_decimal, write_decimal
-from .augring import AugmentedRing
+from .augring import MAX_N, AugmentedRing, encode_int
 from .constructors import (
     CayleyGroup,
     CayleyTableError,
@@ -44,10 +44,11 @@ from .stabilize import (
     DEFAULT_MIN_WINDOW,
     build_report,
     invariants_cell,
+    quotient_csv_row,
     quotient_sequence,
     quotient_to_dict,
     report_csv_rows,
-    report_to_json,
+    report_to_dict,
 )
 
 __all__ = ["main", "build_parser"]
@@ -56,39 +57,29 @@ FAMILIES = ("group-ring", "burnside", "rep")
 
 
 class CliError(AugqError):
-    """Usage or input error raised by the CLI itself, with its exit code."""
+    """Usage or input error detected by the CLI itself."""
 
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
+    exit_code = 2
 
 
-def _int_at_least(low, message):
+def _bounded_int(low, message, high=None):
+    """An argparse type: a decimal integer from ``low`` up to ``high``."""
+
     def parse(text):
         n = read_decimal(text)
         if n is None:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if n < low:
             raise argparse.ArgumentTypeError(message)
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
         return n
 
     return parse
 
 
-_positive_int = _int_at_least(1, "must be a positive integer")
-_window_int = _int_at_least(2, "window must be at least 2")
-
-# a chain with no exact period keeps the operators of every step, whose
-# entries grow with n: C2xC2xC8 peaks at 132 MiB at --max-n 1000, 336 MiB
-# at 2000 and about 5 GiB at 10000
-_MAX_N_CEILING = 1000
-
-
-def _max_n(text):
-    n = _positive_int(text)
-    if n > _MAX_N_CEILING:
-        raise argparse.ArgumentTypeError(f"must be at most {_MAX_N_CEILING}")
-    return n
+_window_int = _bounded_int(2, "window must be at least 2")
+_max_n = _bounded_int(1, "must be a positive integer", high=MAX_N)
 
 
 def _add_common(sp, ring_source=True):
@@ -188,7 +179,7 @@ def _read_text(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
-        raise CliError(f"cannot read {path}: {exc}", 2)
+        raise CliError(f"cannot read {path}: {exc}")
 
 
 def _load_json_file(path):
@@ -196,7 +187,7 @@ def _load_json_file(path):
     try:
         return json.loads(text)
     except _JSON_ERRORS as exc:
-        raise CliError(f"{path}: malformed JSON: {exc}", 2)
+        raise CliError(f"{path}: malformed JSON: {exc}")
 
 
 def _cayley_group(spec):
@@ -215,10 +206,10 @@ def _construct_family_ring(family, spec):
         if isinstance(g, FinAbGroup):
             return rep_ring_abelian(g)
         raise CliError(
-            "the rep family accepts abelian specs and D<m> (for S3 use D3)", 2
+            "the rep family accepts abelian specs and D<m> (for S3 use D3)"
         )
     if not isinstance(g, FinAbGroup):
-        raise CliError("group rings are implemented for abelian groups only", 2)
+        raise CliError("group rings are implemented for abelian groups only")
     return group_ring(g)
 
 
@@ -234,10 +225,10 @@ def _ring_source(kind, spec):
 def _resolve_ring(args):
     """Returns (ring_id, ring) from --ring / --group / --family."""
     if args.ring and args.group:
-        raise CliError("--ring and --group are mutually exclusive", 2)
+        raise CliError("--ring and --group are mutually exclusive")
     spec = args.ring or args.group
     if not spec:
-        raise CliError("one of --ring or --group is required", 2)
+        raise CliError("one of --ring or --group is required")
     kind = args.family
     if args.ring and (os.path.isfile(spec) or spec.endswith(".json")):
         kind = "ring"
@@ -253,25 +244,28 @@ def _emit(text, out_path):
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}", 2)
+            raise CliError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
 
 def _format_table(headers, rows):
+    """The lines of an aligned table."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return [
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+        for row in [headers, *rows]
+    ]
 
 
-def _factors_cell(group):
-    """A table cell listing the invariant factors, e.g. ``[2, 4]``."""
-    return "[" + ", ".join(write_decimal(f) for f in group.invariant_factors) + "]"
+def _quotient_cells(q):
+    """The cells of Q_n that open a row of the ``qn`` and ``stabilize``
+    tables: n, the invariant factors as ``[2, 4]``, and the order."""
+    factors = ", ".join(write_decimal(f) for f in q.group.invariant_factors)
+    return [str(q.n), f"[{factors}]", write_decimal(q.order)]
 
 
 def _format_csv(header, rows):
@@ -282,34 +276,43 @@ def _format_csv(header, rows):
     return buf.getvalue()
 
 
+def _render(args, value, header, rows, table):
+    """Writes a command's output in ``args.format``: the object ``value()``
+    as JSON, ``header`` and the ``rows()`` as CSV, or the ``table()`` lines.
+
+    Only the chosen one is built: each writes its integers in its own order,
+    and an integer too long to write fails the first writer that meets it.
+    """
+    if args.format == "json":
+        text = json.dumps(value(), indent=2)
+    elif args.format == "csv":
+        text = _format_csv(header, rows())
+    else:
+        text = "\n".join(table())
+    _emit(text, args.out)
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_validate(args):
     ring_id, ring = _resolve_ring(args)
     report = ring.validate()
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "ring_id": ring_id,
-                "checks": report.checks,
-                "failures": report.failures,
-                "passed": report.passed,
-            },
-            indent=2,
-        )
-    elif args.format == "csv":
-        rows = [[k, "true" if v else "false"] for k, v in report.checks.items()]
-        text = _format_csv(["check", "passed"], rows)
-    else:
-        lines = [f"ring: {ring_id}"]
-        for k, v in report.checks.items():
-            lines.append(f"{k}: {'pass' if v else 'FAIL'}")
-        for f in report.failures:
-            lines.append(f"  {f}")
-        lines.append("result: " + ("valid" if report.passed else "INVALID"))
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    _render(
+        args,
+        lambda: {
+            "ring_id": ring_id,
+            "checks": report.checks,
+            "failures": report.failures,
+            "passed": report.passed,
+        },
+        ["check", "passed"],
+        lambda: [[k, "true" if v else "false"] for k, v in report.checks.items()],
+        lambda: [f"ring: {ring_id}"]
+        + [f"{k}: {'pass' if v else 'FAIL'}" for k, v in report.checks.items()]
+        + [f"  {f}" for f in report.failures]
+        + ["result: " + ("valid" if report.passed else "INVALID")],
+    )
     return 0 if report.passed else 1
 
 
@@ -318,82 +321,71 @@ def _require_valid(ring_id, ring):
     if not report.passed:
         for f in report.failures:
             print(f"augq: {ring_id}: {f}", file=sys.stderr)
-        raise CliError(f"{ring_id} failed validation", 1)
+        raise AugqError(f"{ring_id} failed validation")
 
 
 def cmd_qn(args):
     ring_id, ring = _resolve_ring(args)
     _require_valid(ring_id, ring)
     quotients = quotient_sequence(ring, args.max_n)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "ring_id": ring_id,
-                "max_n": args.max_n,
-                "quotients": [quotient_to_dict(q) for q in quotients],
-            },
-            indent=2,
-        )
-    elif args.format == "csv":
-        rows = [
-            [ring_id, str(q.n), invariants_cell(q.group), write_decimal(q.order)]
-            for q in quotients
-        ]
-        text = _format_csv(["ring_id", "n", "invariants", "order"], rows)
-    else:
-        rows = [
-            [str(q.n), _factors_cell(q.group), write_decimal(q.order)]
-            for q in quotients
-        ]
-        text = f"ring: {ring_id}\n" + _format_table(["n", "invariants", "order"], rows)
-    _emit(text, args.out)
+    _render(
+        args,
+        lambda: {
+            "ring_id": ring_id,
+            "max_n": args.max_n,
+            "quotients": [quotient_to_dict(q) for q in quotients],
+        },
+        CSV_HEADER[:-1],
+        lambda: [quotient_csv_row(ring_id, q) for q in quotients],
+        lambda: [f"ring: {ring_id}"]
+        + _format_table(
+            ["n", "invariants", "order"], [_quotient_cells(q) for q in quotients]
+        ),
+    )
     return 0
 
 
+def _stabilize_table(report, min_window):
+    lines = [
+        f"ring: {report.ring_id}",
+        f"torsion exponent d: {write_decimal(report.d)}   free rank r: {report.r}   "
+        f"bound d^r: {write_decimal(report.d ** report.r)}",
+    ]
+    if report.n0_candidate is None:
+        lines.append(
+            f"no stable tail of length >= {min_window} within n <= {report.max_n}"
+        )
+    else:
+        lines.append(
+            f"stable from n0 = {report.n0_candidate} (window {report.window}, "
+            f"certified: {'yes' if report.certified else 'no'})"
+        )
+    rows = [
+        _quotient_cells(q) + ["yes" if ok else "NO"]
+        for q, ok in zip(report.quotients, report.bound_ok)
+    ]
+    lines += _format_table(["n", "invariants", "order", "bound"], rows)
+    nonzero = [
+        f"  p={p} s={s}: " + " ".join(str(x) for x in row)
+        for (p, s), row in sorted(report.lambda_table.items())
+        if any(row)
+    ]
+    if nonzero:
+        lines += ["valuation rows v_p(|p^s Q_n|), n = 1..N:", *nonzero]
+    return lines
+
+
 def cmd_stabilize(args):
-    if args.window > args.max_n:
-        raise CliError("--window cannot exceed --max-n", 2)
     ring_id, ring = _resolve_ring(args)
     _require_valid(ring_id, ring)
     report = build_report(ring, ring_id, max_n=args.max_n, min_window=args.window)
-    if args.format == "json":
-        text = report_to_json(report)
-    elif args.format == "csv":
-        text = _format_csv(CSV_HEADER, report_csv_rows(report))
-    else:
-        lines = [
-            f"ring: {ring_id}",
-            f"torsion exponent d: {write_decimal(report.d)}   free rank r: "
-            f"{report.r}   bound d^r: {write_decimal(report.d ** report.r)}",
-        ]
-        if report.n0_candidate is None:
-            lines.append(
-                f"no stable tail of length >= {args.window} within n <= {args.max_n}"
-            )
-        else:
-            lines.append(
-                f"stable from n0 = {report.n0_candidate} "
-                f"(window {report.window}, certified: no)"
-            )
-        rows = [
-            [
-                str(q.n),
-                _factors_cell(q.group),
-                write_decimal(q.order),
-                "yes" if ok else "NO",
-            ]
-            for q, ok in zip(report.quotients, report.bound_ok)
-        ]
-        lines.append(_format_table(["n", "invariants", "order", "bound"], rows))
-        nonzero = [
-            (key, row) for key, row in sorted(report.lambda_table.items()) if any(row)
-        ]
-        if nonzero:
-            lines.append("valuation rows v_p(|p^s Q_n|), n = 1..N:")
-            for (p, s), row in nonzero:
-                lines.append(f"  p={p} s={s}: " + " ".join(str(x) for x in row))
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    _render(
+        args,
+        lambda: report_to_dict(report),
+        CSV_HEADER,
+        lambda: report_csv_rows(report),
+        lambda: _stabilize_table(report, args.window),
+    )
     return 0 if report.n0_candidate is not None else 3
 
 
@@ -403,22 +395,21 @@ def cmd_classify(args):
         try:
             mapping = json.loads(raw)
         except _JSON_ERRORS as exc:
-            raise CliError(f"malformed profile JSON: {exc}", 2)
+            raise CliError(f"malformed profile JSON: {exc}")
     else:
         mapping = _load_json_file(raw)
     if not isinstance(mapping, dict):
-        raise CliError("profile must be a JSON object", 2)
+        raise CliError("profile must be a JSON object")
     profile = ValuationProfile.from_json_mapping(mapping)
     group = FinAbGroup.from_valuation_profile(profile)
-    factors = list(group.invariant_factors)
-    cell = invariants_cell(group)  # refuses a factor too long to write
-    if args.format == "json":
-        text = json.dumps({"invariant_factors": factors}, indent=2)
-    elif args.format == "csv":
-        text = _format_csv(["invariants"], [[cell]])
-    else:
-        text = json.dumps(factors, separators=(",", ":"))
-    _emit(text, args.out)
+    factors = group.invariant_factors
+    _render(
+        args,
+        lambda: {"invariant_factors": [encode_int(f) for f in factors]},
+        ["invariants"],
+        lambda: [[invariants_cell(group)]],
+        lambda: ["[" + ",".join(write_decimal(f) for f in factors) + "]"],
+    )
     return 0
 
 
@@ -429,36 +420,29 @@ def cmd_marks(args):
         try:
             group = CayleyGroup.from_dict(_load_json_file(value), name=stem)
         except CayleyTableError as exc:
-            raise CliError(f"{value}: {exc}", 2)
+            raise CliError(f"{value}: {exc}")
     else:
         group = _cayley_group(value)
     marks = table_of_marks(group)
-    classes = marks.classes
-    labels = [f"H{i}" for i in range(len(classes))]
-    orders = classes.orders()
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "group_order": group.order,
-                "labels": labels,
-                "subgroup_orders": orders,
-                "marks": marks.values,
-            },
-            indent=2,
-        )
-    elif args.format == "csv":
-        rows = [
-            [labels[i], str(orders[i]), "|".join(str(x) for x in marks.values[i])]
-            for i in range(len(labels))
-        ]
-        text = _format_csv(["class", "order", "marks"], rows)
-    else:
-        rows = [
-            [labels[i], str(orders[i])] + [str(x) for x in marks.values[i]]
-            for i in range(len(labels))
-        ]
-        text = _format_table(["class", "|H|"] + labels, rows)
-    _emit(text, args.out)
+    labels = [f"H{i}" for i in range(len(marks.classes))]
+    orders = marks.classes.orders()
+    # class label, |H|, then the marks of H on each class
+    rows = [
+        [label, str(order), *map(str, row)]
+        for label, order, row in zip(labels, orders, marks.values)
+    ]
+    _render(
+        args,
+        lambda: {
+            "group_order": group.order,
+            "labels": labels,
+            "subgroup_orders": orders,
+            "marks": marks.values,
+        },
+        ["class", "order", "marks"],
+        lambda: [row[:2] + ["|".join(row[2:])] for row in rows],
+        lambda: _format_table(["class", "|H|"] + labels, rows),
+    )
     return 0
 
 
@@ -486,7 +470,7 @@ def _corpus_entries(path):
         parts = text.split()
         if len(parts) != 2:
             raise CliError(
-                f"{path}:{lineno}: expected '<family> <spec>' or 'ring <path>'", 2
+                f"{path}:{lineno}: expected '<family> <spec>' or 'ring <path>'"
             )
         kind, spec = parts
         if kind == "ring":
@@ -494,15 +478,14 @@ def _corpus_entries(path):
         elif kind not in FAMILIES:
             raise CliError(
                 f"{path}:{lineno}: unknown family {kind!r} "
-                f"(expected one of {', '.join(FAMILIES)} or 'ring')",
-                2,
+                f"(expected one of {', '.join(FAMILIES)} or 'ring')"
             )
         entries.append((kind, spec))
     return entries
 
 
 def _corpus_row(entry, max_n, window):
-    """The CSV row of one corpus entry, and whether its status is ``ok``."""
+    """The CSV row of one corpus entry."""
     ring_id, load = _ring_source(*entry)
     row = {key: "" for key in CORPUS_HEADER}
     row["ring_id"] = ring_id
@@ -528,7 +511,7 @@ def _corpus_row(entry, max_n, window):
     except AugqError as exc:
         row["status"] = "error"
         row["error"] = str(exc)
-    return [row[key] for key in CORPUS_HEADER], row["status"] == "ok"
+    return [row[key] for key in CORPUS_HEADER]
 
 
 def _claims_pipe(count):
@@ -595,14 +578,14 @@ def _corpus_rows(entries, max_n, window, jobs):
 
     Every process claims the next unclaimed rings from one pipe
     (``_claims_pipe``) and works through them; each child sends back its
-    ``[index, row, ok]`` triples as one JSON document on a pipe of its own
+    ``[index, row]`` pairs as one JSON document on a pipe of its own
     and then ends with ``os._exit``, so it never returns into the caller's
     stack.  JSON, not pickle: the parent parses only bytes this program
     wrote, and nothing it reads is unpickled.  ``fork`` is safe here because
     this process has no other thread when it forks; a caller that started
     one gets the plain loop.  A child that was killed or exited non-zero
-    ends the sweep with a ``CliError`` naming it, after every child is
-    reaped.
+    ends the sweep with an ``AugqError`` (exit 1) naming it, after every
+    child is reaped.
     """
     jobs = min(jobs, len(entries))
     threading = sys.modules.get("threading")  # not imported for this check
@@ -614,7 +597,7 @@ def _corpus_rows(entries, max_n, window, jobs):
 
     def claim_rows():
         return [
-            (i, *_corpus_row(entries[i], max_n, window))
+            (i, _corpus_row(entries[i], max_n, window))
             for i in _claimed(claims, step, len(entries))
         ]
 
@@ -642,7 +625,7 @@ def _corpus_rows(entries, max_n, window, jobs):
                     os._exit(code)
             os.close(writer)
             children[pid] = reader
-        triples = claim_rows()
+        pairs = claim_rows()
         failures = []
         for pid in list(children):
             with open(children[pid], "rb", closefd=False) as fh:
@@ -652,7 +635,7 @@ def _corpus_rows(entries, max_n, window, jobs):
             if failure:
                 failures.append(failure)
             else:
-                triples += json.loads(sent)
+                pairs += json.loads(sent)
     finally:
         for fd in (claims, lifeline, alive):
             os.close(fd)
@@ -660,21 +643,19 @@ def _corpus_rows(entries, max_n, window, jobs):
             os.close(reader)
             os.waitpid(pid, 0)  # it exits at once: its lifeline is closed
     if failures:
-        raise CliError("; ".join(failures), 1)
+        raise AugqError("; ".join(failures))
     rows = [None] * len(entries)
-    for i, row, ok in triples:
-        rows[i] = row, ok
+    for i, row in pairs:
+        rows[i] = row
     return rows
 
 
 def cmd_corpus(args):
-    if args.window > args.max_n:
-        raise CliError("--window cannot exceed --max-n", 2)
     entries = _corpus_entries(args.corpus_file)
-    results = _corpus_rows(entries, args.max_n, args.window, args.jobs)
-    text = _format_csv(CORPUS_HEADER, [row for row, _ in results])
-    _emit(text, args.out)
-    return 0 if all(ok for _, ok in results) else 1
+    rows = _corpus_rows(entries, args.max_n, args.window, args.jobs)
+    _emit(_format_csv(CORPUS_HEADER, rows), args.out)
+    status = CORPUS_HEADER.index("status")
+    return 0 if all(row[status] == "ok" for row in rows) else 1
 
 
 def main(argv=None, *, jobs=1):
@@ -689,6 +670,8 @@ def main(argv=None, *, jobs=1):
     args = parser.parse_args(argv)
     args.jobs = jobs
     try:
+        if "window" in args and args.window > args.max_n:
+            raise CliError("--window cannot exceed --max-n")
         return args.func(args)
     except AugqError as exc:
         print(f"augq: {exc.prefix}{exc}", file=sys.stderr)

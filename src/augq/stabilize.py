@@ -11,11 +11,10 @@ A detected tail is only ever a candidate: ``certified`` is always False
 because no finite window proves the sequence stays put afterwards.
 """
 
-import json
 from math import log2
 
 from .abgroup import FinAbGroup, _factorint, write_decimal
-from .augring import QuotientResult, decode_int, encode_int
+from .augring import QuotientResult, encode_int
 from .intlinalg import AugqError, _Record, quotient_invariants, smith_invariants
 
 __all__ = [
@@ -26,10 +25,7 @@ __all__ = [
     "lambda_diagnostics",
     "quotient_sequence",
     "report_csv_rows",
-    "report_from_dict",
-    "report_from_json",
     "report_to_dict",
-    "report_to_json",
     "verify_bound",
 ]
 
@@ -208,6 +204,8 @@ def quotient_to_dict(q):
 
 
 def report_to_dict(report):
+    """The report's JSON object, keyed by the slot names; the one writer of
+    a report."""
     return {
         "ring_id": report.ring_id,
         "max_n": report.max_n,
@@ -225,42 +223,6 @@ def report_to_dict(report):
     }
 
 
-def report_from_dict(d):
-    quotients = [
-        QuotientResult(
-            n=q["n"],
-            group=FinAbGroup([decode_int(f) for f in q["group"]]),
-            order=decode_int(q["order"]),
-            ideal_rank=q["ideal_rank"],
-        )
-        for q in d["quotients"]
-    ]
-    table = {}
-    for key, row in d["lambda_table"].items():
-        p, s = key.split(",")
-        table[(decode_int(p), decode_int(s))] = tuple(row)
-    return StabilizationReport(
-        ring_id=d["ring_id"],
-        max_n=d["max_n"],
-        d=decode_int(d["d"]),
-        r=d["r"],
-        quotients=quotients,
-        n0_candidate=d["n0_candidate"],
-        window=d["window"],
-        certified=d["certified"],
-        bound_ok=list(d["bound_ok"]),
-        lambda_table=table,
-    )
-
-
-def report_to_json(report):
-    return json.dumps(report_to_dict(report), indent=2)
-
-
-def report_from_json(text):
-    return report_from_dict(json.loads(text))
-
-
 CSV_HEADER = ["ring_id", "n", "invariants", "order", "bound_ok"]
 
 
@@ -269,17 +231,14 @@ def invariants_cell(group):
     return "|".join(write_decimal(f) for f in group.invariant_factors)
 
 
+def quotient_csv_row(ring_id, q):
+    """The cells of Q_n that open a row of ``CSV_HEADER``."""
+    return [ring_id, str(q.n), invariants_cell(q.group), write_decimal(q.order)]
+
+
 def report_csv_rows(report):
     """Flat per-n view; invariant factors pipe-joined, all numbers decimal."""
-    rows = []
-    for q, ok in zip(report.quotients, report.bound_ok):
-        rows.append(
-            [
-                report.ring_id,
-                str(q.n),
-                invariants_cell(q.group),
-                write_decimal(q.order),
-                "true" if ok else "false",
-            ]
-        )
-    return rows
+    return [
+        quotient_csv_row(report.ring_id, q) + ["true" if ok else "false"]
+        for q, ok in zip(report.quotients, report.bound_ok)
+    ]

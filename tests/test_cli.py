@@ -15,7 +15,7 @@ from augq import AugmentedRing, AugqError, ValidationReport, abgroup, constructo
 from augq import stabilize
 from augq import cli
 from augq.cli import main
-from augq.stabilize import report_from_json
+from augq.stabilize import StabilizationReport, build_report, report_to_dict
 from conftest import corpus_ring_specs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -64,6 +64,21 @@ def test_qn_frozen_csv(capsys):
         "group-ring:C2,2,2,2\n"
         "group-ring:C2,3,2,2\n"
     )
+    code, out, err = run(capsys, "qn", "--ring", "C2", "--max-n", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "ring: group-ring:C2\n"
+        "n  invariants  order\n"
+        "1  [2]         2\n"
+        "2  [2]         2\n"
+        "3  [2]         2\n"
+    )
+    code, out, err = run(capsys, "qn", "--ring", "C2", "--max-n", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    quotients = [{"n": n, "group": [2], "order": 2, "ideal_rank": 1} for n in (1, 2, 3)]
+    assert out == json.dumps(
+        {"ring_id": "group-ring:C2", "max_n": 3, "quotients": quotients}, indent=2
+    ) + "\n"
 
 
 def test_qn_rejects_nonpositive_max_n(capsys):
@@ -121,6 +136,32 @@ def test_validate_csv_is_frozen(capsys):
         "augmentation_unit,true\n"
         "torsion,true\n"
     )
+    checks = [
+        "commutativity",
+        "associativity",
+        "identity",
+        "augmentation_multiplicative",
+        "augmentation_unit",
+        "torsion",
+    ]
+    code, out, err = run(capsys, "validate", "--group", "C2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "ring: group-ring:C2\n"
+        + "".join(f"{check}: pass\n" for check in checks)
+        + "result: valid\n"
+    )
+    code, out, err = run(capsys, "validate", "--group", "C2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {
+            "ring_id": "group-ring:C2",
+            "checks": {check: True for check in checks},
+            "failures": [],
+            "passed": True,
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_stabilize_csv_is_frozen(capsys):
@@ -134,6 +175,33 @@ def test_stabilize_csv_is_frozen(capsys):
         "group-ring:C2xC4,2,2|2|4,16,true\n"
         + "".join(f"group-ring:C2xC4,{n},2|2|2|4,32,true\n" for n in range(3, 9))
     )
+    code, out, err = run(
+        capsys, "stabilize", "--group", "C2xC4", "--max-n", "8", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    groups = [[2, 4], [2, 2, 4]] + [[2, 2, 2, 4]] * 6
+    assert out == json.dumps(
+        {
+            "ring_id": "group-ring:C2xC4",
+            "max_n": 8,
+            "d": 4,
+            "r": 7,
+            "quotients": [
+                {"n": n, "group": g, "order": 2 ** len(g) * 2, "ideal_rank": 7}
+                for n, g in enumerate(groups, 1)
+            ],
+            "n0_candidate": 3,
+            "window": 6,
+            "certified": False,
+            "bound_ok": [True] * 8,
+            "lambda_table": {
+                "2,0": [3, 4, 5, 5, 5, 5, 5, 5],
+                "2,1": [1] * 8,
+                **{f"2,{s}": [0] * 8 for s in range(2, 15)},
+            },
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_stabilize_table_names_the_detected_tail(capsys):
@@ -153,23 +221,78 @@ def test_stabilize_table_names_the_detected_tail(capsys):
     )
 
 
-def test_stabilize_json_roundtrip(capsys):
+def test_stabilize_json_is_the_report_dict(capsys):
     code, out, _ = run(
         capsys, "stabilize", "--group", "C2xC2", "--max-n", "8", "--format", "json"
     )
     assert code == 0
-    report = report_from_json(out)
-    assert report.ring_id == "group-ring:C2xC2"
-    assert report.n0_candidate == 2
-    assert report.certified is False
+    ring = constructors.group_ring(augq.FinAbGroup([2, 2]))
+    report = build_report(ring, "group-ring:C2xC2", max_n=8, min_window=5)
+    data = json.loads(out)
+    assert data == report_to_dict(report)
+    assert tuple(data) == StabilizationReport.__slots__
+    assert data["n0_candidate"] == 2
+    assert data["certified"] is False
+
+
+def test_stabilize_builds_only_the_chosen_format(capsys, tmp_path):
+    # x*x = N x and y*y = y with N = 2^10000: every Q_n is Z/N, which writes,
+    # but the table's bound d^r = N^2 has 6,021 digits, past the writer's limit
+    path = tmp_path / "wide-bound.json"
+    path.write_text(
+        json.dumps(
+            {
+                "basis": ["1", "x", "y"],
+                "identity": 0,
+                "structure": [
+                    [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1],
+                    [1, 1, 1, str(2**10000)], [2, 2, 2, 1],
+                ],
+                "augmentation": [1, 0, 0],
+            }
+        )
+    )
+    argv = ["stabilize", "--ring", str(path), "--max-n", "3", "--window", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "augq: integer of 20001 bits is too long to write in decimal\n"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["d"] == str(2**10000)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"ring:wide-bound,3,{2**10000},{2**10000},true"
+
+
+@pytest.mark.parametrize("command", ["qn", "stabilize"])
+def test_invalid_ring_exits_1_naming_each_failure(capsys, tmp_path, command):
+    path = tmp_path / "dual.json"
+    write_dual_numbers(path)
+    code, out, err = run(capsys, command, "--ring", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "augq: ring:dual: torsion: I/I^2 has free rank 1, so it is not finite\n"
+        "augq: ring:dual failed validation\n"
+    )
 
 
 def test_stabilize_inconclusive_exit_code(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "stabilize", "--group", "C2xC4", "--max-n", "3", "--window", "3"
     )
-    assert code == 3
-    assert "no stable tail" in out
+    assert (code, err) == (3, "")
+    assert out == (
+        "ring: group-ring:C2xC4\n"
+        "torsion exponent d: 4   free rank r: 7   bound d^r: 16384\n"
+        "no stable tail of length >= 3 within n <= 3\n"
+        "n  invariants    order  bound\n"
+        "1  [2, 4]        8      yes\n"
+        "2  [2, 2, 4]     16     yes\n"
+        "3  [2, 2, 2, 4]  32     yes\n"
+        "valuation rows v_p(|p^s Q_n|), n = 1..N:\n"
+        "  p=2 s=0: 3 4 5\n"
+        "  p=2 s=1: 1 1 1\n"
+    )
 
 
 def test_stabilize_window_exceeding_max_n(capsys):
@@ -179,9 +302,15 @@ def test_stabilize_window_exceeding_max_n(capsys):
 
 
 def test_classify_inline_profile(capsys):
-    code, out, _ = run(capsys, "classify", "--profile", '{"2,0": 3, "2,1": 1}')
+    profile = '{"2,0": 3, "2,1": 1}'
+    code, out, _ = run(capsys, "classify", "--profile", profile)
     assert code == 0
     assert out.strip() == "[2,4]"
+    code, out, err = run(capsys, "classify", "--profile", profile, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "invariant_factors": [\n    2,\n    4\n  ]\n}\n'
+    code, out, err = run(capsys, "classify", "--profile", profile, "--format", "csv")
+    assert (code, out, err) == (0, "invariants\n2|4\n", "")
 
 
 def test_classify_profile_file(capsys, tmp_path):
@@ -190,6 +319,17 @@ def test_classify_profile_file(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--profile", str(prof), "--format", "json")
     assert code == 0
     assert json.loads(out) == {"invariant_factors": [3]}
+
+
+def test_classify_json_encodes_big_invariant_factors(capsys):
+    # the profile of Z/2^70: one factor past the 64-bit range, written as a
+    # decimal string like every integer of that size in qn and stabilize JSON
+    profile = json.dumps({f"2,{s}": 70 - s for s in range(70)})
+    code, out, err = run(capsys, "classify", "--profile", profile, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "invariant_factors": [\n    "1180591620717411303424"\n  ]\n}\n'
+    code, out, err = run(capsys, "classify", "--profile", profile)
+    assert (code, out, err) == (0, "[1180591620717411303424]\n", "")
 
 
 def test_classify_profile_file_must_hold_an_object(capsys, tmp_path):
@@ -239,6 +379,26 @@ def test_marks_csv_frozen(capsys):
         "H2,3,2|0|2|0\n"
         "H3,6,1|1|1|1\n"
     )
+    code, out, err = run(capsys, "marks", "--group", "S3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "class  |H|  H0  H1  H2  H3\n"
+        "H0     1    6   0   0   0\n"
+        "H1     2    3   1   0   0\n"
+        "H2     3    2   0   2   0\n"
+        "H3     6    1   1   1   1\n"
+    )
+    code, out, err = run(capsys, "marks", "--group", "S3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {
+            "group_order": 6,
+            "labels": ["H0", "H1", "H2", "H3"],
+            "subgroup_orders": [1, 2, 3, 6],
+            "marks": [[6, 0, 0, 0], [3, 1, 0, 0], [2, 0, 2, 0], [1, 1, 1, 1]],
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_marks_cayley_file(capsys, tmp_path):
@@ -1155,6 +1315,9 @@ def test_exported_exceptions_share_the_exit_code_map():
     for name, cls in exported.items():
         assert issubclass(cls, AugqError), name
         assert cls.exit_code in (1, 2), name
+    # the CLI's own usage errors exit 2 by class, as the library's do
+    assert issubclass(cli.CliError, AugqError) and cli.CliError.exit_code == 2
+    assert "__init__" not in vars(cli.CliError)
 
 
 def test_each_exported_name_is_declared_once_by_its_defining_module():

@@ -9,15 +9,13 @@ from augq.augring import AugmentedRing
 from augq.constructors import burnside_ring, cayley_from_abelian, group_ring
 from augq.stabilize import (
     CSV_HEADER,
+    StabilizationReport,
     build_report,
     detect_stabilization,
     lambda_diagnostics,
     quotient_sequence,
     report_csv_rows,
-    report_from_dict,
-    report_from_json,
     report_to_dict,
-    report_to_json,
     verify_bound,
 )
 from conftest import abelian_groups_upto, build_corpus_ring, corpus_ring_specs
@@ -36,6 +34,16 @@ def test_quotient_sequence_frozen():
     assert all(q.group.is_trivial() for q in seq)
     seq = quotient_sequence(burnside_ring(cayley_from_abelian(G(2))), 5)
     assert [q.group.invariant_factors for q in seq] == [(2,)] * 5
+
+
+def test_quotient_sequence_refuses_max_n_past_the_ceiling():
+    # the CLI's --max-n ceiling bounds library callers too
+    ring = group_ring(G(2))
+    with pytest.raises(ValueError, match="from 1 to 1000"):
+        quotient_sequence(ring, 1001)
+    with pytest.raises(ValueError, match="from 1 to 1000"):
+        build_report(ring, "group-ring:C2", max_n=1001)
+    assert len(quotient_sequence(ring, 1000)) == 1000
 
 
 def test_detect_stabilization_frozen():
@@ -236,18 +244,18 @@ def test_build_report_inconclusive_tail():
     assert report.window is None
 
 
-def test_report_json_roundtrip():
+def test_report_dict_is_plain_json():
     for ring, rid in (
         (group_ring(G(2)), "group-ring:C2"),
         (group_ring(G(2, 4)), "group-ring:C2xC4"),
         (burnside_ring(cayley_from_abelian(G(4))), "burnside:C4"),
     ):
         report = build_report(ring, rid, max_n=8, min_window=4)
-        text = report_to_json(report)
-        assert report_from_json(text) == report
+        d = report_to_dict(report)
+        # lists, not tuples, and string keys: what JSON reads back is the dict
+        assert json.loads(json.dumps(d)) == d
         # stable key layout for the wire format
-        d = json.loads(text)
-        assert set(d) == {
+        assert tuple(d) == StabilizationReport.__slots__ == (
             "ring_id",
             "max_n",
             "d",
@@ -258,9 +266,8 @@ def test_report_json_roundtrip():
             "certified",
             "bound_ok",
             "lambda_table",
-        }
+        )
         assert d["certified"] is False
-        assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_dict_lambda_keys_are_strings():
@@ -269,7 +276,9 @@ def test_report_dict_lambda_keys_are_strings():
     # rows exist for every p | d and shift with p^s <= d^r, zero rows included
     assert "2,0" in d["lambda_table"] and "3,0" in d["lambda_table"]
     assert all("," in k for k in d["lambda_table"])
-    assert report_from_dict(d) == report
+    assert d["lambda_table"] == {
+        f"{p},{s}": list(row) for (p, s), row in report.lambda_table.items()
+    }
 
 
 def test_report_csv_rows():
@@ -285,7 +294,7 @@ def test_report_csv_rows():
 def test_report_determinism():
     a = build_report(group_ring(G(2, 4)), "x", max_n=8, min_window=4)
     b = build_report(group_ring(G(2, 4)), "x", max_n=8, min_window=4)
-    assert report_to_json(a) == report_to_json(b)
+    assert report_to_dict(a) == report_to_dict(b)
     assert report_csv_rows(a) == report_csv_rows(b)
 
 
