@@ -287,9 +287,6 @@ class FinAbGroup:
             n *= f
         return n
 
-    def is_trivial(self):
-        return not self._factors
-
     def _exponents(self, p):
         """The exponent of p in each invariant factor; all 0 for p < 2, which
         no number of divisions would use up."""
@@ -442,12 +439,9 @@ class ValuationProfile:
     def __repr__(self):
         return f"ValuationProfile({self._entries!r})"
 
-    def to_json_mapping(self):
-        """Keys flatten to "p,s" strings for the CLI wire format."""
-        return {f"{p},{s}": v for (p, s), v in self._entries.items()}
-
     @classmethod
     def from_json_mapping(cls, mapping):
+        """Reads the CLI wire format, whose keys are "p,s" strings."""
         entries = {}
         for key, val in mapping.items():
             pair = tuple(read_decimal(t) for t in str(key).split(","))

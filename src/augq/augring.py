@@ -22,7 +22,7 @@ basis of it, on which g acts by the same matrix.
 
 from itertools import chain
 
-from .abgroup import FinAbGroup, _check_order, read_decimal, write_decimal
+from .abgroup import _check_order, read_decimal, write_decimal
 from .intlinalg import AugqError, IntMatrix, NotASublatticeError, _Echelon, _Record
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
@@ -102,9 +102,6 @@ class ValidationReport(_Record):
     """
 
     __slots__ = ("checks", "failures")
-
-    def __init__(self, checks, failures=None):
-        super().__init__(checks, [] if failures is None else failures)
 
     @property
     def passed(self):
@@ -236,7 +233,14 @@ class AugmentedRing:
         ideal, _, square, _ = self._chain_start()
         lost_rank = ideal.rank - square.rank
         unit = f"augmentation: eps(identity) == {aug[e]}, want 1"
-        torsion = f"torsion: I/I^2 has free rank {lost_rank}, so it is not finite"
+        if lost_rank >= 0:
+            torsion = f"torsion: I/I^2 has free rank {lost_rank}, so it is not finite"
+        else:
+            # products of elements of I have left I
+            torsion = (
+                f"torsion: I^2 spans rank {square.rank}, more than the rank "
+                f"{ideal.rank} of I, so it is not inside I"
+            )
         top = max((abs(c) for row in table for v in row for _, c in v), default=0)
         w = (m * top * top).bit_length() + 2
         packed = [[sum(c << (w * k) for k, c in v) for v in row] for row in table]

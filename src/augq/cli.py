@@ -416,9 +416,8 @@ def cmd_classify(args):
 def cmd_marks(args):
     value = args.group
     if os.path.isfile(value) or value.endswith(".json"):
-        stem = os.path.splitext(os.path.basename(value))[0]
         try:
-            group = CayleyGroup.from_dict(_load_json_file(value), name=stem)
+            group = CayleyGroup.from_dict(_load_json_file(value))
         except CayleyTableError as exc:
             raise CliError(f"{value}: {exc}")
     else:

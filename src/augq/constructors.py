@@ -15,7 +15,7 @@ import itertools
 from .abgroup import BadParameterError, FinAbGroup, ParseError, _check_order
 from .abgroup import read_decimal
 from .augring import AugmentedRing
-from .intlinalg import AugqError
+from .intlinalg import AugqError, _Record
 
 __all__ = [
     "CayleyGroup",
@@ -49,9 +49,9 @@ class CayleyGroup:
     a CayleyGroup that exists is a group.
     """
 
-    __slots__ = ("table", "order", "name", "_inverse")
+    __slots__ = ("table", "order", "_inverse")
 
-    def __init__(self, table, name=None):
+    def __init__(self, table):
         n = len(table)
         if n == 0:
             raise CayleyTableError("empty multiplication table")
@@ -87,21 +87,14 @@ class CayleyGroup:
         inverse = [rows[a].index(0) for a in range(n)]
         self.table = rows
         self.order = n
-        self.name = name
         self._inverse = inverse
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inverse(self, a):
-        return self._inverse[a]
 
     def conjugate(self, g, x):
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self._inverse[g]]
 
     @classmethod
-    def from_dict(cls, d, name=None):
+    def from_dict(cls, d):
         if not isinstance(d, dict):
             raise CayleyTableError("Cayley spec must be a JSON object")
         try:
@@ -114,13 +107,13 @@ class CayleyGroup:
         _check_order(order)
         if not isinstance(table, list) or len(table) != order:
             raise CayleyTableError("'table' must be an order x order array")
-        return cls(table, name=name)
+        return cls(table)
 
     def to_dict(self):
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
     def __repr__(self):
-        return f"CayleyGroup(order={self.order}, name={self.name!r})"
+        return f"CayleyGroup(order={self.order})"
 
 
 def _residue_addition(g):
@@ -137,9 +130,9 @@ def _residue_addition(g):
     return elements, table
 
 
-def cayley_from_abelian(g, name=None):
+def cayley_from_abelian(g):
     """Componentwise-addition table on the residue tuples of g."""
-    return CayleyGroup(_residue_addition(g)[1], name=name or g.spec_string())
+    return CayleyGroup(_residue_addition(g)[1])
 
 
 def dihedral_group(m):
@@ -160,7 +153,7 @@ def dihedral_group(m):
                     # (r^t s^e)(r^u s^f) = r^(t + u*(-1)^e) s^(e+f)
                     tt = (t - u) if e else (t + u)
                     table[idx(t, e)][idx(u, f)] = idx(tt % m, (e + f) % 2)
-    return CayleyGroup(table, name=f"D{m}")
+    return CayleyGroup(table)
 
 
 def symmetric_group(n):
@@ -174,10 +167,10 @@ def symmetric_group(n):
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    return CayleyGroup(table, name=f"S{n}")
+    return CayleyGroup(table)
 
 
-class SubgroupClasses:
+class SubgroupClasses(_Record):
     """Conjugacy classes of subgroups, each held by a representative.
 
     Representatives are the lexicographically smallest sorted element tuples
@@ -185,12 +178,7 @@ class SubgroupClasses:
     so the trivial subgroup comes first and the whole group last.
     """
 
-    __slots__ = ("group", "representatives", "class_members")
-
-    def __init__(self, group, representatives, class_members):
-        self.group = group
-        self.representatives = representatives
-        self.class_members = class_members
+    __slots__ = ("representatives", "class_members")
 
     def __len__(self):
         return len(self.representatives)
@@ -251,14 +239,10 @@ def enumerate_subgroups(g):
         rep = min(tuple(sorted(o)) for o in orbit)
         classes[rep] = orbit
     reps = sorted(classes, key=lambda r: (len(r), r))
-    return SubgroupClasses(
-        group=g,
-        representatives=reps,
-        class_members=[classes[r] for r in reps],
-    )
+    return SubgroupClasses(reps, [classes[r] for r in reps])
 
 
-class MarksMatrix:
+class MarksMatrix(_Record):
     """Table of marks: entry [H][K] counts the cosets of H fixed by K.
 
     Rows and columns follow the subgroup-class ordering, which makes the
@@ -267,13 +251,6 @@ class MarksMatrix:
     """
 
     __slots__ = ("values", "classes")
-
-    def __init__(self, values, classes):
-        self.values = values
-        self.classes = classes
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _left_cosets(g, h):

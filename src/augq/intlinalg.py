@@ -196,37 +196,9 @@ class InvariantFactors(_Record):
 
     ``factors`` is the ascending divisibility chain with unit factors
     dropped, so the trivial quotient is ``()`` with ``free_rank`` 0.
-    Instances are immutable and hashable.
     """
 
     __slots__ = ("factors", "free_rank")
-
-    def __init__(self, factors, free_rank):
-        fs = tuple(int(f) for f in factors)
-        for f in fs:
-            if f < 2:
-                raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(fs, fs[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        if free_rank < 0:
-            raise ValueError("free_rank must be nonnegative")
-        object.__setattr__(self, "factors", fs)
-        object.__setattr__(self, "free_rank", free_rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since fields refuse
-        # assignment
-        return InvariantFactors, self._fields()
 
 
 class _Echelon:

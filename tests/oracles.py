@@ -210,8 +210,15 @@ def brute_force_subgroups(table):
     return found
 
 
-def brute_force_classes(table, inverse):
+def table_inverses(table):
+    """The inverse of each element, found by scanning its row for the
+    identity 0."""
+    return [next(b for b, ab in enumerate(row) if ab == 0) for row in table]
+
+
+def brute_force_classes(table):
     """Conjugacy classes of subgroups, keyed by smallest sorted member."""
+    inverse = table_inverses(table)
     subs = brute_force_subgroups(table)
     classes = {}
     for s in subs:

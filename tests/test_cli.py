@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -1249,7 +1250,7 @@ def _too_large_error(monkeypatch, tmp_path):
 def _rank_drop_error(monkeypatch, tmp_path):
     path = tmp_path / "dual.json"
     write_dual_numbers(path)
-    monkeypatch.setattr(AugmentedRing, "validate", lambda self: ValidationReport({}))
+    monkeypatch.setattr(AugmentedRing, "validate", lambda self: ValidationReport({}, []))
     return ["qn", "--ring", str(path)]
 
 
@@ -1333,3 +1334,23 @@ def test_each_exported_name_is_declared_once_by_its_defining_module():
         obj = getattr(module, name)
         assert obj.__module__ == module.__name__, name
         assert getattr(augq, name) is obj, name
+
+
+def test_every_imported_name_is_read():
+    # pkgutil lists the submodules, so __init__'s star imports are not read
+    for info in pkgutil.iter_modules(augq.__path__):
+        path = importlib.import_module(f"augq.{info.name}").__file__
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {a.asname or a.name for a in node.names}
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert imported <= read, (info.name, sorted(imported - read))

@@ -151,7 +151,7 @@ def _mutate_profile(rng, profile):
 def test_fuzz_valuation_profiles(capsys):
     rng = random.Random(10)
     bases = [
-        FinAbGroup(orders).valuation_profile().to_json_mapping()
+        {f"{p},{s}": v for (p, s), v in FinAbGroup(orders).valuation_profile().items()}
         for orders in PROFILE_GROUPS
     ]
     for _ in range(CALLS):
