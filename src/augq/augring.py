@@ -6,6 +6,9 @@ The ring is Z^m with a bilinear product; the augmentation is a linear map
 to Z that is expected (and checked, not assumed) to be a unital ring
 homomorphism.  Its kernel I and the chain I >= I^2 >= ... are plain
 integer lattices, so every quotient I^n / I^{n+1} is computed exactly.
+The structure constants come in one format, the ring-spec quadruples
+[i, j, k, c], from JSON and from Python alike, and the constructor is the
+one place they are checked.
 
 The chain is built from a few ideal generators g of I, since
 I^{n+1} = sum_g g·I^n.  Past I^2 it never leaves I^n-coordinates: each g
@@ -117,10 +120,13 @@ class QuotientResult(_Record):
 class AugmentedRing:
     """A commutative ring on basis b_0..b_{m-1} with augmentation to Z.
 
-    ``structure`` maps an ordered pair (i, j) to the integer vector of
-    b_i * b_j, and that vector is b_j * b_i as well, so the table is
-    commutative by construction.  A pair given in both orders must agree
-    entry for entry, or RingSpecError is raised.
+    ``structure`` lists the ring-spec quadruples [i, j, k, c], each adding
+    c·b_k to b_i·b_j: quadruples accumulate, unlisted coefficients are zero,
+    and a pair listed only as (i, j) is b_j·b_i as well, so the table is
+    commutative by construction.  A pair listed in both orders must agree.
+    The constructor checks the identity, the augmentation, the structure and
+    each row, in that order, and raises RingSpecError at the first fault.
+    Integers are ints or decimal strings, as ``decode_int`` reads them.
     """
 
     __slots__ = (
@@ -134,45 +140,48 @@ class AugmentedRing:
 
     def __init__(self, labels, structure, augmentation, identity_index):
         self.labels = tuple(str(x) for x in labels)
-        m = len(self.labels)
-        if m == 0:
-            raise ValueError("a ring needs at least one basis element")
-        self.dim = m
-        self.augmentation = tuple(int(x) for x in augmentation)
-        if len(self.augmentation) != m:
-            raise ValueError("augmentation vector length does not match basis")
-        if not isinstance(identity_index, int) or not 0 <= identity_index < m:
-            raise ValueError("identity index out of range")
-        self.identity_index = identity_index
-
-        vecs = {}
-        for (i, j), vec in dict(structure).items():
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"structure key ({i}, {j}) out of range")
-            v = [int(x) for x in vec]
-            if len(v) != m:
-                raise ValueError(f"structure vector for ({i}, {j}) has wrong length")
-            vecs[(i, j)] = v
+        m = self.dim = len(self.labels)
+        e = identity_index
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise RingSpecError("'identity' must be an integer index")
+        if not 0 <= e < m:
+            raise RingSpecError("'identity' index out of range")
+        self.identity_index = e
+        if not isinstance(augmentation, list) or len(augmentation) != m:
+            raise RingSpecError(f"'augmentation' must be a list of {m} integers")
+        self.augmentation = tuple(decode_int(x) for x in augmentation)
+        if not isinstance(structure, list):
+            raise RingSpecError("'structure' must be a list of [i, j, k, c] rows")
+        # the coefficients of each listed pair, by k
+        sums = {}
+        for row in structure:
+            if not isinstance(row, list) or len(row) != 4:
+                raise RingSpecError(f"structure row {row!r} is not [i, j, k, c]")
+            i, j, k, c = row
+            for idx in (i, j, k):
+                if not isinstance(idx, int) or isinstance(idx, bool):
+                    raise RingSpecError(f"structure row {row!r} has a non-int index")
+                if not 0 <= idx < m:
+                    raise RingSpecError(f"structure row {row!r} index out of range")
+            terms = sums.setdefault((i, j), {})
+            terms[k] = terms.get(k, 0) + decode_int(c)
+        products = {
+            pair: tuple(sorted((k, c) for k, c in terms.items() if c))
+            for pair, terms in sums.items()
+        }
         table = [[()] * m for _ in range(m)]
-        for (i, j), v in vecs.items():
-            if i < j and vecs.get((j, i), v) != v:
+        for (i, j), v in products.items():
+            if i < j and products.get((j, i), v) != v:
                 raise RingSpecError(
                     f"conflicting symmetric entries for basis pair ({i}, {j})"
                 )
-            table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(v) if c)
+            table[i][j] = table[j][i] = v
         self._table = table
         # (I, its ideal generators, I^2, the generators' multiplication
         # matrices), built on first use by _chain_start
         self._start = None
 
     # -- products ---------------------------------------------------------
-
-    def basis_product(self, i, j):
-        """b_i * b_j as a dense coefficient vector."""
-        out = [0] * self.dim
-        for k, c in self._table[i][j]:
-            out[k] = c
-        return out
 
     def multiply(self, x, y):
         """Bilinear product of two coefficient vectors."""
@@ -477,11 +486,11 @@ class AugmentedRing:
 
     @classmethod
     def from_dict(cls, d):
-        """Load a ring from the sparse quadruple format.
+        """Load a ring from its ring-spec mapping.
 
-        Unlisted coefficients are zero and quadruples accumulate; the sums
-        go to the constructor, which mirrors each pair and refuses one
-        listed in both orders with different values.
+        Only the mapping itself is checked here, and the ring dimension
+        against the order guard before any row is read; the constructor
+        checks the rest.
         """
         if not isinstance(d, dict):
             raise RingSpecError("ring spec must be a JSON object")
@@ -494,28 +503,5 @@ class AugmentedRing:
             raise RingSpecError(f"ring spec is missing the {exc.args[0]!r} field")
         if not isinstance(basis, list) or not basis:
             raise RingSpecError("'basis' must be a nonempty list of labels")
-        m = len(basis)
-        _check_order(m, what="ring dimension")
-        if not isinstance(identity, int) or isinstance(identity, bool):
-            raise RingSpecError("'identity' must be an integer index")
-        if not 0 <= identity < m:
-            raise RingSpecError("'identity' index out of range")
-        if not isinstance(augmentation, list) or len(augmentation) != m:
-            raise RingSpecError(f"'augmentation' must be a list of {m} integers")
-        aug = [decode_int(x) for x in augmentation]
-        if not isinstance(structure, list):
-            raise RingSpecError("'structure' must be a list of [i, j, k, c] rows")
-        vecs = {}
-        for row in structure:
-            if not isinstance(row, list) or len(row) != 4:
-                raise RingSpecError(f"structure row {row!r} is not [i, j, k, c]")
-            i, j, k = row[0], row[1], row[2]
-            for idx in (i, j, k):
-                if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise RingSpecError(f"structure row {row!r} has a non-int index")
-                if not 0 <= idx < m:
-                    raise RingSpecError(f"structure row {row!r} index out of range")
-            c = decode_int(row[3])
-            vec = vecs.setdefault((i, j), [0] * m)
-            vec[k] += c
-        return cls(basis, vecs, aug, identity)
+        _check_order(len(basis), what="ring dimension")
+        return cls(basis, structure, augmentation, identity)

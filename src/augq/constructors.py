@@ -292,7 +292,8 @@ def burnside_ring(g):
 
     G/H x G/K has one G-orbit per H-orbit on the cosets xK, and its
     stabilizer is the intersection of H with xKx^-1, so [G/H][G/K] counts
-    those H-orbits by the class of their stabilizer.  The augmentation is
+    those H-orbits by the class of their stabilizer: one quadruple per
+    orbit, which the constructor adds up.  The augmentation is
     the coset count |G|/|H|; [G/G] is the identity, the last class.
     """
     classes = enumerate_subgroups(g)
@@ -301,11 +302,10 @@ def burnside_ring(g):
     class_of = {s: i for i, orbit in enumerate(classes.class_members) for s in orbit}
     cosets = [_left_cosets(g, k) for k in reps]
     table = g.table
-    structure = {}
+    structure = []
     for a, b in itertools.combinations_with_replacement(range(t), 2):
         coset_id, rep_of = cosets[b]
         seen = [False] * len(rep_of)
-        vec = [0] * t
         for cid, x in enumerate(rep_of):
             if seen[cid]:
                 continue
@@ -315,8 +315,7 @@ def burnside_ring(g):
                 seen[hx] = True
                 if hx == cid:
                     stabilizer.append(h)
-            vec[class_of[frozenset(stabilizer)]] += 1
-        structure[(a, b)] = vec
+            structure.append([a, b, class_of[frozenset(stabilizer)], 1])
     augmentation = [len(rep_of) for _, rep_of in cosets]
     labels = [f"[G/H{i}]" for i in range(t)]
     return AugmentedRing(labels, structure, augmentation, identity_index=t - 1)
@@ -328,12 +327,7 @@ def _convolution_ring(g, prefix, one=None):
     given, labels the zero tuple instead."""
     elements, table = _residue_addition(g)
     n = len(elements)
-    structure = {}
-    for i in range(n):
-        for j in range(i, n):
-            vec = [0] * n
-            vec[table[i][j]] = 1
-            structure[(i, j)] = vec
+    structure = [[i, j, table[i][j], 1] for i in range(n) for j in range(i, n)]
     labels = [prefix + "(" + ",".join(str(x) for x in e) + ")" for e in elements]
     if one is not None:
         labels[0] = one
@@ -393,41 +387,32 @@ def rep_ring_dihedral(m):
 
     def fold(t):
         """Virtual two-dimensional character with rotation values
-        2cos(2*pi*t*k/m), expressed in the basis."""
+        2cos(2*pi*t*k/m), as (k, c) terms of the basis."""
         t %= m
         if 2 * t > m:
             t = m - t
-        vec = [0] * dim
         if t == 0:
-            vec[lin_index(0, 0)] += 1
-            vec[lin_index(0, 1)] += 1
-        elif even and 2 * t == m:
-            vec[lin_index(1, 0)] += 1
-            vec[lin_index(1, 1)] += 1
-        else:
-            vec[v_index(t)] += 1
-        return vec
+            return [(lin_index(0, 0), 1), (lin_index(0, 1), 1)]
+        if even and 2 * t == m:
+            return [(lin_index(1, 0), 1), (lin_index(1, 1), 1)]
+        return [(v_index(t), 1)]
 
     lin_of_index = [(0, 0), (0, 1)] + ([(1, 0), (1, 1)] if even else [])
-    structure = {}
+    structure = []
     for i in range(dim):
         for j in range(i, dim):
-            vec = [0] * dim
             if i < nlin and j < nlin:
                 u1, v1 = lin_of_index[i]
                 u2, v2 = lin_of_index[j]
-                vec[lin_index((u1 + u2) % 2, (v1 + v2) % 2)] = 1
+                terms = [(lin_index((u1 + u2) % 2, (v1 + v2) % 2), 1)]
             elif i < nlin:
                 u, _ = lin_of_index[i]
-                jj = j - nlin + 1
-                vec = fold(jj + u * m // 2) if u else fold(jj)
+                terms = fold(j - nlin + 1 + u * m // 2)
             else:
                 a = i - nlin + 1
                 b = j - nlin + 1
-                fa = fold(a + b)
-                fb = fold(abs(a - b))
-                vec = [x + y for x, y in zip(fa, fb)]
-            structure[(i, j)] = vec
+                terms = fold(a + b) + fold(abs(a - b))
+            structure += ([i, j, k, c] for k, c in terms)
     augmentation = [1] * nlin + [2] * nv
     return AugmentedRing(labels, structure, augmentation, identity_index=0)
 

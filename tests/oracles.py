@@ -3,16 +3,16 @@
 Deliberately naive: cofactor determinants, minor-gcd invariant factors, a
 textbook row-reduction HNF, an integer kernel by column echelon,
 back-substitution one vector at a time, brute-force subgroup search, and a
-floating point character table for dihedral groups.  No oracle calls into
-augq, so agreement is evidence rather than tautology.  The four helpers at
-the end are test data, not oracles: they build their lattices and groups
-with augq.
+floating point character table for dihedral groups, and the order of a
+symmetric power.  No oracle calls into augq, so agreement is evidence
+rather than tautology.  The five helpers at the end are test data, not
+oracles: they build their lattices, groups and products with augq.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from augq.abgroup import FinAbGroup
 from augq.intlinalg import (
@@ -342,6 +342,20 @@ def solve_exact(a, b):
     return [row[n] for row in m]
 
 
+def sym_power_order(factors, n):
+    """|Sym^n G| for G the sum of the cyclic groups Z/f over ``factors``.
+
+    Sym^n of a direct sum is the sum, over the size-n multisets of its
+    summands, of their tensor products, and Z/a (x) Z/b is Z/gcd(a, b); so
+    the order is the product, over the multisets of factor indices, of the
+    gcd of the factors used.
+    """
+    order = 1
+    for picked in combinations_with_replacement(range(len(factors)), n):
+        order *= math.gcd(*(factors[i] for i in picked))
+    return order
+
+
 def standard_lattice(n):
     """The full lattice Z^n."""
     return Lattice(n, IntMatrix.identity(n))
@@ -350,6 +364,11 @@ def standard_lattice(n):
 def zero_lattice(n):
     """The zero sublattice of Z^n: a basis with no rows."""
     return Lattice(n, IntMatrix([], ncols=n))
+
+
+def basis_product(ring, i, j):
+    """b_i·b_j in ``ring``, as a dense coefficient vector."""
+    return ring.multiply(ring.basis_vector(i), ring.basis_vector(j))
 
 
 def random_group(seed, max_rank=4, max_prime_power=64):

@@ -19,7 +19,7 @@ from augq.stabilize import (
     verify_bound,
 )
 from conftest import abelian_groups_upto, build_corpus_ring, corpus_ring_specs
-from oracles import valuation_by_multiplication
+from oracles import basis_product, sym_power_order, valuation_by_multiplication
 
 
 def G(*orders):
@@ -147,7 +147,7 @@ def test_lambda_diagnostics_finds_exponents_once_per_group_and_prime(monkeypatch
     # x*x = 12x: every Q_n is Z/12, so d = 12 and r = 1 give the rows
     # (2, 0..3) and (3, 0..2), each read off the exponents of one prime
     ring = AugmentedRing(
-        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, 12]}, [1, 0], 0
+        ["1", "x"], [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, 12]], [1, 0], 0
     )
     seq = quotient_sequence(ring, 6)
     calls = []
@@ -207,7 +207,7 @@ def test_build_report_factors_each_invariant_factor_once(monkeypatch):
     # x*x = (2^64 + 1) x, so Q_n = Z/(2^64 + 1) for every n and d = 2^64 + 1
     big = 2**64 + 1
     ring = AugmentedRing(
-        ["1", "x"], {(0, 0): [1, 0], (0, 1): [0, 1], (1, 1): [0, big]}, [1, 0], 0
+        ["1", "x"], [[0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 1, big]], [1, 0], 0
     )
     calls = []
     trial = abgroup._trial_division
@@ -316,6 +316,29 @@ def test_every_quotient_of_a_cyclic_group_ring_is_the_group():
         assert [q.group for q in seq] == [G(m)] * 20, m
 
 
+def test_group_ring_quotients_are_images_of_symmetric_powers(corpus_reports):
+    # Passi: for abelian G, Sym^n G maps onto Q_n of Z[G], so
+    # |Q_n| <= |Sym^n G| and exp(Q_n) divides exp(G)
+    rings = [
+        (spec, corpus_reports[f"group-ring:{spec}"].quotients[:12])
+        for family, spec in corpus_ring_specs()
+        if family == "group-ring"
+    ]
+    rings.append(("C2xC2xC8", quotient_sequence(group_ring(G(2, 2, 8)), 12)))
+    pairs = equal = 0
+    for spec, quotients in rings:
+        factors = FinAbGroup.from_spec(spec).invariant_factors
+        exponent = max(factors, default=1)
+        assert [q.n for q in quotients] == list(range(1, 13)), spec
+        for q in quotients:
+            bound = sym_power_order(factors, q.n)
+            assert q.order <= bound, (spec, q.n)
+            assert exponent % max(q.group.invariant_factors, default=1) == 0
+            pairs += 1
+            equal += q.order == bound
+    assert (pairs, equal) == (312, 216)
+
+
 def _permuted_spec(spec, perm):
     """The ring spec with basis element i relabelled perm[i]."""
     labels = [None] * len(perm)
@@ -351,7 +374,7 @@ def test_reports_are_invariant_under_basis_permutation():
         back = AugmentedRing.from_dict(out)
         m = ring.dim
         assert all(
-            back.basis_product(i, j) == permuted.basis_product(i, j)
+            basis_product(back, i, j) == basis_product(permuted, i, j)
             for i in range(m)
             for j in range(m)
         ), ring_id
