@@ -38,9 +38,9 @@ __all__ = [
     "ValidationReport",
 ]
 
-# the largest max_n ideal_powers takes: a chain with no exact period keeps
-# the operators of every step, whose entries grow with n: C2xC2xC8 peaks at
-# 132 MiB at max_n 1000, 336 MiB at 2000 and about 5 GiB at 10000
+# the largest max_n ideal_powers takes: a chain with no exact period
+# conjugates every step, and its operators' entries grow with n, so time
+# does too: C2xC2xC8 takes about 2 s at max_n 1000 and 4 s at 2000
 MAX_N = 1000
 
 _I64_MIN = -(2**63)
@@ -381,7 +381,8 @@ class AugmentedRing:
         next operators, so when they equal those of an earlier step j,
         every later step repeats with period n - j: C_i is C_{i-(n-j)} from
         there on, and nothing more is conjugated.  The operators are
-        compared only when the rows modulo d meet an earlier set.
+        compared only with those of the last step whose rows modulo d met
+        the same set, so a period inside which a set repeats goes unseen.
 
         When ``steps`` is a list, C_2 .. C_{max_n} are appended to it, equal
         steps possibly as one Lattice object, and no lattice past I^2 is
@@ -417,7 +418,7 @@ class AugmentedRing:
         principal = len(gens) == 1 and steps is not None
         # a row modulo d is keyed by one int, its digits base d; the memo
         # maps the set of nonzero keys of a step to its step lattice and the
-        # (n, operators) of the steps that met it, and lives for this call only
+        # last step n that met it, with its operators, for this call only
         seen = {}
         lattices = []
         period = None
@@ -435,7 +436,8 @@ class AugmentedRing:
                 )
             side, keys = out
             key = frozenset(keys) - {0}
-            if key not in seen:
+            step, j, old = seen.get(key, (None, None, None))
+            if step is None:
                 # row a of M_g has the key keys[g·r + a]; one row per key
                 # goes to the echelon, which reduces it modulo d
                 first = dict(zip(keys, range(len(keys))))
@@ -445,13 +447,11 @@ class AugmentedRing:
                     g, a = divmod(i, r)
                     rows.append(side[a][g * r : g * r + r])
                 step = lattice_from_generators(r, rows, modulus=d)
-                seen[key] = (step, [])
-            step, met = seen[key]
             if principal:
                 period = 1
-            else:
-                period = next((n - j for j, old in met if old == side), None)
-            met.append((n, side))
+            elif old == side:
+                period = n - j
+            seen[key] = (step, n, side)
             lattices.append(step)
         if steps is not None:
             steps.extend(lattices)

@@ -187,33 +187,32 @@ class SubgroupClasses(_Record):
         return [len(r) for r in self.representatives]
 
 
-def _close_subset(g, seed):
-    """Smallest subgroup containing ``seed``."""
+def _generated(g, gens):
+    """The subgroup generated by ``gens``: the orbit of the identity under
+    right multiplication by them, which is closed in a finite group."""
     members = {0}
-    members.update(seed)
-    frontier = list(members)
+    frontier = [0]
     table = g.table
     while frontier:
-        nxt = []
-        for a in frontier:
-            row = table[a]
-            for b in list(members):
-                for p in (row[b], table[b][a]):
-                    if p not in members:
-                        members.add(p)
-                        nxt.append(p)
-        frontier = nxt
+        row = table[frontier.pop()]
+        for x in gens:
+            p = row[x]
+            if p not in members:
+                members.add(p)
+                frontier.append(p)
     return frozenset(members)
 
 
 def enumerate_subgroups(g):
     """All subgroups of g up to conjugacy.
 
-    Every subgroup is the join of its cyclic subgroups, so the closure that
-    repeatedly joins known subgroups with cyclic ones reaches the full
-    subgroup lattice.  Refused past AUGQ_MAX_ORDER (default 64), like every
-    constructor here.  ``table_of_marks`` and ``burnside_ring`` start here,
-    so this is where a group that is not a CayleyGroup is refused.
+    Every subgroup is the join of its cyclic subgroups, so joining each
+    known subgroup with each cyclic one it misses reaches the full subgroup
+    lattice.  Each is kept with a generator tuple, a cyclic one with its
+    least generator, and a join is closed from the tuple and one more.
+    Refused past AUGQ_MAX_ORDER (default 64), like every constructor here.
+    ``table_of_marks`` and ``burnside_ring`` start here, so this is where a
+    group that is not a CayleyGroup is refused.
     """
     if not isinstance(g, CayleyGroup):
         raise BadParameterError(
@@ -221,18 +220,19 @@ def enumerate_subgroups(g):
             "cayley_from_abelian gives one for a FinAbGroup"
         )
     _check_order(g.order)
-    cyclic = {_close_subset(g, (x,)) for x in range(g.order)}
-    subgroups = set(cyclic)
-    work = list(subgroups)
+    # the least generator is written last
+    cyclic = {_generated(g, (x,)): x for x in reversed(range(g.order))}
+    subgroups = {c: (x,) for c, x in cyclic.items()}
+    work = list(subgroups.items())
     while work:
-        s = work.pop()
-        for c in cyclic:
-            if c <= s:
+        s, gens = work.pop()
+        for x in cyclic.values():
+            if x in s:
                 continue
-            joined = _close_subset(g, s | c)
+            joined = _generated(g, gens + (x,))
             if joined not in subgroups:
-                subgroups.add(joined)
-                work.append(joined)
+                subgroups[joined] = gens + (x,)
+                work.append((joined, gens + (x,)))
     classes = {}
     for s in subgroups:
         orbit = {frozenset(g.conjugate(c, x) for x in s) for c in range(g.order)}

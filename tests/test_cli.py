@@ -786,13 +786,14 @@ def live_group_members(pgid):
 
 def start_heavy_sweep(tmp_path, jobs):
     """A ``jobs``-process sweep in a new session, with its stdout and
-    stderr piped, once all its processes are up; each of its four Burnside
-    D32 rings takes about a second at --max-n 10."""
+    stderr piped, once all its processes are up; each of its four C2xC2xC8
+    group rings takes about a second at --max-n 600, almost all of it in
+    the chain steps, which have no period on this ring."""
     corpus = tmp_path / "rings.txt"
-    corpus.write_text("burnside D32\n" * 4)
+    corpus.write_text("group-ring C2xC2xC8\n" * 4)
     script = f"import sys; from augq.cli import main; sys.exit(main(sys.argv[1:], jobs={jobs}))"
     proc = subprocess.Popen(
-        [sys.executable, "-c", script, "corpus", str(corpus), "--max-n", "10"],
+        [sys.executable, "-c", script, "corpus", str(corpus), "--max-n", "600"],
         env=dict(os.environ, PYTHONPATH=SRC),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -155,6 +157,27 @@ def test_enumerate_subgroups_matches_brute_force():
         # every subgroup, not just class representatives
         all_found = {frozenset(s) for orbit in classes.class_members for s in orbit}
         assert all_found == brute_force_subgroups(g.table)
+
+
+# sha256 of the representatives and of each class's sorted members, in
+# class order, as the member-set closure enumerated them
+ENUMERATION_DIGESTS = {
+    "S4": "23ca99e27b104e7b2d105d383064eef61b8a63d8938f96137e1ebf473fa8967f",
+    "D16": "baa8af7d67367013e60bf5b0d6874a05455753491851b967836bd6ba4f0f21b1",
+    "D32": "1b89197ceb8f30f2b9c03e6b2ce768fed667d3598501b52da76e79b133934a27",
+    "C2xC2xC2xC2": "7b18ecbb2d70f5107cb1d96a86a4206a2cb5bc127f51bbd080fedd2d93625664",
+    "C2xC4xC4": "c25a19a4d7f567570d317211c7c42d859110477575123b285fefd433f9786c84",
+    "C4xC4xC4": "b4841970b3de5f2ddaad783a842602da1b6aa045d9f531a7db8d6e8df204638f",
+    "C2xC2xC2xC2xC2": "3c5b7d6517b6713805935df485c6dee366e295ae70651f8153018c341f75a931",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ENUMERATION_DIGESTS))
+def test_enumerate_subgroups_past_brute_force_is_frozen(spec):
+    classes = enumerate_subgroups(_cayley(spec))
+    members = [sorted(sorted(s) for s in orbit) for orbit in classes.class_members]
+    text = json.dumps([[list(r) for r in classes.representatives], members])
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGESTS[spec]
 
 
 def test_enumerate_subgroups_guard(monkeypatch):

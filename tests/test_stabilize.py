@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,8 @@ from augq.stabilize import (
 )
 from conftest import abelian_groups_upto, build_corpus_ring, corpus_ring_specs
 from oracles import basis_product, sym_power_order, valuation_by_multiplication
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def G(*orders):
@@ -44,6 +49,32 @@ def test_quotient_sequence_refuses_max_n_past_the_ceiling():
     with pytest.raises(ValueError, match="from 1 to 1000"):
         build_report(ring, "group-ring:C2", max_n=1001)
     assert len(quotient_sequence(ring, 1000)) == 1000
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_quotient_sequence_without_a_period_stays_small():
+    # the chain of C2xC2xC8 has no exact period; keeping the operators of
+    # every step for the period test peaked at about 40 MiB at max_n 300,
+    # one step's operators per row set stays under 28 MiB; the digest is
+    # of the quotients that the first way gave.  VmHWM is the child's own
+    # peak, where ru_maxrss would also count the forked test process
+    script = (
+        "import hashlib, json\n"
+        "from augq import FinAbGroup, group_ring\n"
+        "from augq.stabilize import quotient_sequence\n"
+        "ring = group_ring(FinAbGroup.from_spec('C2xC2xC8'))\n"
+        "groups = [q.group.invariant_factors for q in quotient_sequence(ring, 300)]\n"
+        "print(hashlib.sha256(json.dumps(groups).encode()).hexdigest())\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120, check=True,
+    )
+    digest, peak_kib = done.stdout.split()
+    assert digest == "dd3940031106aa359f9f8ec9bfea58ea37ad3b9db919d6cd036ef426c38bfd15"
+    assert int(peak_kib) < 28 * 1024
 
 
 def test_detect_stabilization_frozen():
