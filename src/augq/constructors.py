@@ -371,19 +371,10 @@ def rep_ring_dihedral(m):
     _check_order(2 * m)
     even = m % 2 == 0
     nlin = 4 if even else 2
-    nv = (m - 1) // 2 if not even else m // 2 - 1
+    nv = (m - 1) // 2
     labels = ["1", "sgn"] + (["rot", "rotsgn"] if even else [])
     labels += [f"V{j}" for j in range(1, nv + 1)]
     dim = nlin + nv
-
-    def lin_index(u, v):
-        # u: sign on the rotation generator, v: sign on the reflection
-        if u and not even:
-            raise AssertionError("rotation-sign character needs even m")
-        return {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[(u, v)]
-
-    def v_index(j):
-        return nlin + j - 1
 
     def fold(t):
         """Virtual two-dimensional character with rotation values
@@ -392,26 +383,23 @@ def rep_ring_dihedral(m):
         if 2 * t > m:
             t = m - t
         if t == 0:
-            return [(lin_index(0, 0), 1), (lin_index(0, 1), 1)]
+            return [(0, 1), (1, 1)]
         if even and 2 * t == m:
-            return [(lin_index(1, 0), 1), (lin_index(1, 1), 1)]
-        return [(v_index(t), 1)]
+            return [(2, 1), (3, 1)]
+        return [(nlin + t - 1, 1)]
 
-    lin_of_index = [(0, 0), (0, 1)] + ([(1, 0), (1, 1)] if even else [])
+    # linear character 2u + v is (-1)^u on the rotation and (-1)^v on the
+    # reflection: i times j is i ^ j, and i >> 1 is the rotation sign of i
     structure = []
     for i in range(dim):
         for j in range(i, dim):
-            if i < nlin and j < nlin:
-                u1, v1 = lin_of_index[i]
-                u2, v2 = lin_of_index[j]
-                terms = [(lin_index((u1 + u2) % 2, (v1 + v2) % 2), 1)]
+            if j < nlin:
+                terms = [(i ^ j, 1)]
             elif i < nlin:
-                u, _ = lin_of_index[i]
-                terms = fold(j - nlin + 1 + u * m // 2)
+                terms = fold(j - nlin + 1 + (i >> 1) * m // 2)
             else:
-                a = i - nlin + 1
-                b = j - nlin + 1
-                terms = fold(a + b) + fold(abs(a - b))
+                # V_a V_b with a = i - nlin + 1 and b = j - nlin + 1
+                terms = fold(i + j + 2 - 2 * nlin) + fold(j - i)
             structure += ([i, j, k, c] for k, c in terms)
     augmentation = [1] * nlin + [2] * nv
     return AugmentedRing(labels, structure, augmentation, identity_index=0)

@@ -13,8 +13,8 @@ fixed once so that canonical equality does real work:
 
 Witnesses come out of the same elimination as the normal forms: as in
 Cohen, GTM 138, §2.4, ``snf`` eliminates inside the top-left block of
-[[A, I], [I, 0]] and slices the transforms out of the other two blocks.
-``kernel_basis`` reads the kernel off the column transform v of that form.
+[[A, I], [I, 0]], in one pivot loop, and slices the transforms out of the
+other two blocks.  ``kernel_basis`` reads the kernel off v of that form.
 
 Sizes are desk scale (dimensions up to about a hundred).  Plain echelon
 insertion can still grow intermediate coefficients far past the size of
@@ -34,6 +34,7 @@ whole-list operations, the matrices side by side.  These and
 
 import bisect
 from itertools import chain
+from math import gcd
 from operator import mul
 
 __all__ = [
@@ -547,104 +548,79 @@ def kernel_basis(m):
 
 
 def _snf_core(a, nrows, ncols):
-    """Diagonalize the top-left ``nrows`` x ``ncols`` block of ``a`` in place.
+    """Smith form of the top-left ``nrows`` x ``ncols`` block of ``a``, in place.
 
     Pivots are chosen inside that block only.  Row operations act on the
     first ``nrows`` rows across their whole length, and column operations on
     the first ``ncols`` columns down every row of ``a``, so entries to the
     right of the block and rows below it record the transforms.
+
+    Each round at position t takes the smallest nonzero entry of the
+    trailing block, the first of equals, as the pivot p.  The row step
+    clears column t below p: a subtraction where p divides, else the
+    extended-gcd combination, which leaves gcd < |p| at the pivot.  The
+    column step subtracts from each column of the block its quotient by p
+    along row t, so any entry left in row t is a remainder smaller than |p|
+    and the next round starts from a smaller pivot.  When row and column t
+    are clear but p does not divide some trailing row, that row is added to
+    row t, and p gives way to a smaller pivot within two rounds.  So the
+    pivot shrinks until it divides the whole trailing block, and only then
+    does t move on.  Unimodular operations keep the block divisible by p,
+    so every later diagonal entry is a multiple of it: the diagonal comes
+    out chained.
     """
-    limit = min(nrows, ncols)
     t = 0
-    while t < limit:
-        # smallest nonzero entry of the trailing block becomes the pivot
-        bi = bj = -1
+    while t < min(nrows, ncols):
+        # smallest nonzero entry of the trailing block, the first of equals
         best = 0
         for i in range(t, nrows):
             ai = a[i]
             for j in range(t, ncols):
                 x = ai[j]
-                if x:
-                    if x < 0:
-                        x = -x
-                    if bi < 0 or x < best:
-                        best = x
-                        bi, bj = i, j
-                        if best == 1:
-                            break
+                if x and (not best or abs(x) < best):
+                    best, bi, bj = abs(x), i, j
+                    if best == 1:
+                        break
             if best == 1:
                 break
-        if bi < 0:
+        if not best:
             break
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
+        a[t], a[bi] = a[bi], a[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-        while True:
-            for i in range(t + 1, nrows):
-                b = a[i][t]
-                if not b:
-                    continue
-                p = a[t][t]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    pf = p // g
-                    bf = b // g
-                    rt, ri = a[t], a[i]
-                    a[t] = [x * p2 + y * q2 for p2, q2 in zip(rt, ri)]
-                    a[i] = [pf * q2 - bf * p2 for p2, q2 in zip(rt, ri)]
-            dirty = False
-            for j in range(t + 1, ncols):
-                b = a[t][j]
-                if not b:
-                    continue
-                p = a[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for row in a[t:]:
-                        if row[t]:
-                            row[j] -= q * row[t]
-                else:
-                    g, x, y = _xgcd(p, b)
-                    pf = p // g
-                    bf = b // g
-                    for row in a:
-                        ci, cj = row[t], row[j]
-                        row[t] = x * ci + y * cj
-                        row[j] = pf * cj - bf * ci
-                    # the column mix can reintroduce entries below the pivot
-                    dirty = True
-            if not dirty:
-                break
-        t += 1
-    nz = t
-    for i in range(nz):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-    # enforce the divisibility chain on the (all nonzero) leading diagonal:
-    # add row j to row i, then a 2x2 unimodular column mix and one row
-    # reduction leave gcd(di, dj) at (i, i) and lcm(di, dj) at (j, j)
-    for i in range(nz):
-        for j in range(i + 1, nz):
-            di = a[i][i]
-            dj = a[j][j]
-            if dj % di == 0:
+        p = a[t][t]
+        for i in range(t + 1, nrows):
+            b = a[i][t]
+            if not b:
                 continue
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            g, x, y = _xgcd(di, dj)
-            dif = di // g
-            djf = dj // g
-            for row in a:
-                ci, cj = row[i], row[j]
-                row[i] = x * ci + y * cj
-                row[j] = dif * cj - djf * ci
-            q = y * dj // g
+            rt, ri = a[t], a[i]
+            if b % p == 0:
+                q = b // p
+                a[i] = [x - q * y for x, y in zip(ri, rt)]
+            else:
+                g, x, y = _xgcd(p, b)
+                pf, bf, p = p // g, b // g, g
+                a[t] = [x * p2 + y * q2 for p2, q2 in zip(rt, ri)]
+                a[i] = [pf * q2 - bf * p2 for p2, q2 in zip(rt, ri)]
+        pivot = a[t]
+        # only row t and the rows below the block are nonzero in column t
+        rows = [row for row in a[t:] if row[t]]
+        for j in range(t + 1, ncols):
+            q = pivot[j] // p
             if q:
-                a[j] = [xx - q * yy for xx, yy in zip(a[j], a[i])]
+                for row in rows:
+                    row[j] -= q * row[t]
+        if any(pivot[t + 1 : ncols]):
+            continue
+        if abs(p) != 1:
+            spoilers = [r for r in a[t + 1 : nrows] if gcd(*r[t + 1 : ncols]) % p]
+            if spoilers:
+                a[t] = [x + y for x, y in zip(pivot, spoilers[0])]
+                continue
+        if p < 0:
+            a[t] = [-x for x in pivot]
+        t += 1
 
 
 def snf(m):

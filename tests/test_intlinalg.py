@@ -15,6 +15,7 @@ from augq.intlinalg import (
     kernel_basis,
     lattice_from_generators,
     quotient_invariants,
+    smith_invariants,
     snf,
 )
 from conftest import build_corpus_ring
@@ -421,6 +422,30 @@ def test_snf_frozen_examples():
     assert s.tolist() == [[1, 0], [0, 6]]
     s, _, _ = snf(IntMatrix([[2, 0], [0, 0]]))
     assert s.tolist() == [[2, 0], [0, 0]]
+    # no pivot divides the others: the chain comes only from mixing rows
+    s, _, _ = snf(IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]]))
+    assert s.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, 60]]
+
+
+# entries with no unit among them, so no pivot is 1 and the divisibility
+# chain has work to do
+NON_UNITS = (0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 10, -10)
+
+
+def _small(rng):
+    return rng.randint(-9, 9)
+
+
+def _big(rng):
+    return rng.randint(-(10**6), 10**6)
+
+
+def _non_unit(rng):
+    return rng.choice(NON_UNITS)
+
+
+def _rows(rng, nr, nc, entry):
+    return [[entry(rng) for _ in range(nc)] for _ in range(nr)]
 
 
 def test_snf_witness_identity():
@@ -430,6 +455,13 @@ def test_snf_witness_identity():
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
         cases.append(IntMatrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]))
+    # up to 8 x 8, wide and tall shapes among them, with entries up to
+    # 10^6 in size or with no unit entry
+    shapes = [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(40)]
+    shapes += [(1, 8), (2, 8), (3, 7), (8, 1), (8, 2), (7, 3)]
+    for nr, nc in shapes:
+        for entry in (_big, _non_unit):
+            cases.append(IntMatrix(_rows(rng, nr, nc, entry)))
     for m in cases + EDGE_MATRICES:
         nr, nc = m.nrows, m.ncols
         s, u, v = snf(m)
@@ -452,6 +484,21 @@ def test_snf_matches_minor_gcd_oracle():
         s, _, _ = snf(IntMatrix(rows))
         diag = [s.data[i][i] for i in range(min(nr, nc))]
         assert [d for d in diag if d > 1] == invariant_factors_minors(rows)
+    # up to 5 x 5, the largest the minor oracle affords
+    for entry in (_small, _non_unit):
+        for _ in range(30):
+            rows = _rows(rng, rng.randrange(1, 6), rng.randrange(1, 6), entry)
+            s, _, _ = snf(IntMatrix(rows))
+            diag = [s.data[i][i] for i in range(min(len(rows), len(rows[0])))]
+            assert [d for d in diag if d > 1] == invariant_factors_minors(rows)
+
+
+def test_smith_invariants_refuses_dependent_rows():
+    assert smith_invariants([[2, 0, 0], [0, 3, 0]], 3) == InvariantFactors((6,), 1)
+    with pytest.raises(ArithmeticError, match="not independent"):
+        smith_invariants([[1, 2], [2, 4]], 2)
+    with pytest.raises(ArithmeticError, match="not independent"):
+        smith_invariants([[2, 4, 6], [0, 0, 0]], 3)
 
 
 # -- quotients ---------------------------------------------------------------
