@@ -139,10 +139,7 @@ def _is_prime(p):
     for b in _MR_BASES:
         if p % b == 0:
             return p == b
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = _divide_out(p - 1, 2)
     for b in _MR_BASES:
         x = pow(b, d, p)
         if x == 1 or x == p - 1:
@@ -175,9 +172,8 @@ def _trial_division(n):
     out = {}
     f = 2
     while f < _TRIAL_BOUND and f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+        if n % f == 0:
+            out[f], n = _divide_out(n, f)
         f += 1 if f == 2 else 2
     return out, n
 
@@ -341,8 +337,10 @@ class FinAbGroup:
         multiplicity of each exponent.  Any negative count along the way
         means no group realizes the profile.  The p-rank sigma_0 - sigma_1,
         the number of cyclic p-power factors, is bounded by the order guard.
+        The factors of all primes go to the constructor as they are, and it
+        combines them into invariant factors.
         """
-        factors = []  # invariant factors, largest first, built prime by prime
+        orders = []  # the cyclic p-power factors, prime by prime
         by_prime = {}
         for (p, s), val in profile.items():
             by_prime.setdefault(p, {})[s] = val
@@ -356,19 +354,14 @@ class FinAbGroup:
                         f"profile is not non-increasing at p={p}, s={s}"
                     )
             _check_order(sigma.get(0, 0) - sigma.get(1, 0), what=f"{p}-rank")
-            powers = []
             for k in range(1, max(sigma) + 2):
                 mult = sigma.get(k - 1, 0) - 2 * sigma.get(k, 0) + sigma.get(k + 1, 0)
                 if mult < 0:
                     raise InconsistentProfileError(
                         f"profile forces a negative multiplicity at p={p}, exponent {k}"
                     )
-                powers.extend([p**k] * mult)
-            # the t-th largest invariant factor takes the t-th largest p-power
-            factors.extend([1] * (len(powers) - len(factors)))
-            for t, q in enumerate(reversed(powers)):
-                factors[t] *= q
-        return cls(factors)
+                orders.extend([p**k] * mult)
+        return cls(orders)
 
     def spec_string(self):
         """Round-trips through ``from_spec``."""

@@ -27,6 +27,7 @@ from itertools import chain
 
 from .abgroup import _check_order, read_decimal, write_decimal
 from .intlinalg import AugqError, IntMatrix, NotASublatticeError, _Echelon, _Record
+from .intlinalg import _combine
 from .intlinalg import kernel_basis, lattice_from_generators, quotient_invariants
 
 __all__ = [
@@ -64,20 +65,6 @@ def decode_int(x):
             return n
         raise RingSpecError(f"not a decimal integer: {x!r}")
     raise RingSpecError(f"expected an integer, got {type(x).__name__}")
-
-
-def _expand(terms, packed):
-    """The packed products (b_a b_b)·b_k for every k, for b_a b_b given by
-    the (t, c) pairs of ``terms`` and packed[t][k] the packed b_t·b_k: one
-    list operation per pair, each adding c times a row of ``packed``."""
-    if not terms:
-        return [0] * len(packed)
-    (t, c), *rest = terms
-    # one unit term, as in every product of a group ring, needs no sum
-    out = packed[t] if c == 1 else [c * x for x in packed[t]]
-    for t, c in rest:
-        out = [y + c * x for y, x in zip(out, packed[t])]
-    return out
 
 
 class DimensionMismatchError(AugqError, ValueError):
@@ -225,13 +212,14 @@ class AugmentedRing:
         same two products, and only k >= i is checked: the failing triples
         come in such pairs, and the first of them in lexicographic order has
         i <= k.  There both sides are products (b_a b_b) b_c, and
-        ``_expand`` forms them for every c at once, once per sorted pair
-        (a, b).  Each product b_t b_k is packed into one int, its entries as
-        signed slots of w = bitlen(m·s²) + 2 bits for s the largest
-        |structure constant|.  Every entry of a product of three basis
-        elements is a sum of m products of two structure constants, so it
-        lies below 2^(w-1) in absolute value; packing is linear and
-        injective on such vectors, so each test is one exact int ``==``.
+        ``_combine``, the row sum of ``Lattice.times``, forms them for every
+        c at once, once per sorted pair (a, b).  Each product b_t b_k is
+        packed into one int, its entries as signed slots of w = bitlen(m·s²)
+        + 2 bits for s the largest |structure constant|.  Every entry of a
+        product of three basis elements is a sum of m products of two
+        structure constants, so it lies below 2^(w-1) in absolute value;
+        packing is linear and injective on such vectors, so each test is
+        one exact int ``==``.
         The torsion axiom asks that I / I^2 be finite, i.e. that I^2 spans
         the same rank as I.
         """
@@ -257,7 +245,7 @@ class AugmentedRing:
         expanded = [[None] * m for _ in range(m)]
         for a in range(m):
             for b in range(a, m):
-                expanded[a][b] = expanded[b][a] = _expand(table[a][b], packed)
+                expanded[a][b] = expanded[b][a] = _combine(table[a][b], packed)
 
         # per check, its failure lines in counterexample order; the lazy
         # generators stop at the first one
@@ -307,22 +295,20 @@ class AugmentedRing:
     def ideal_generators(self):
         """A few elements g of I whose ideals A·g add up to I.
 
-        The HNF rows of I are taken in order, skipping any row already in
-        the span of b_i·g over the generators g picked so far.  The group
-        ring of C2xC2xC8 needs 3 of its 31 rows.  The closure runs once per
-        ring; every call returns a fresh list of fresh rows.
+        The HNF rows of I are taken in order of L1 norm, rows of equal norm
+        in HNF order, skipping any row already in the span of b_i·g over
+        the generators g picked so far.  The closure runs once per ring;
+        every call returns a fresh list of fresh rows.
 
         Generators of I as an ideal generate Q_1 = I / I^2 as an abelian
         group, since A / I is Z, so no set has fewer than the largest
-        p-rank of Q_1 (the Nakayama bound).  The greedy pick can exceed
-        it: the Burnside rings of D6, C2xC4, D4 and C12 get 6, 7, 7 and 4
-        generators against bounds of 3, 5, 5 and 2.  That a smaller set
-        does not pay rests on one measurement, on the dense-specs benchmark
-        corpus (seed 1): a seeded search that reached the bound took 0.16 s
-        and saved 0.045 s of chain time (Python 3.11, shared 2-vCPU host).
-        No larger Burnside ring is in that corpus; on C2xC2xC2xC2 the
-        greedy pick takes all 66 rows of I, where an order by L1 norm
-        takes 15.
+        p-rank of Q_1 (the Nakayama bound).  The pick meets it on the group
+        ring of C2xC2xC8 (3 of 31 rows) and on the Burnside rings of
+        C2xC2xC2xC2, C2xC4xC4 and D16 (15, 19 and 9), and can exceed it:
+        the Burnside rings of S4 and D6 take 5 and 4 against bounds of 4
+        and 3.  Against HNF order it takes no more on the corpus Burnside
+        rings, but one more on rep D6, rep D8 and a ring with one entry
+        near 2^71, which dominates the norm.
         """
         return [list(g) for g in self._chain_start()[1]]
 
@@ -341,7 +327,7 @@ class AugmentedRing:
             gens = []
             ops = []
             closure = _Echelon()
-            for row in ideal.basis.data:
+            for row in sorted(ideal.basis.data, key=lambda v: sum(map(abs, v))):
                 if not closure.insert(row):
                     continue
                 op = [self.multiply(self.basis_vector(i), row) for i in range(m)]
@@ -461,11 +447,6 @@ class AugmentedRing:
             basis = step.times(basis)
             powers.append(lattice_from_generators(self.dim, basis))
         return powers
-
-    def free_rank(self):
-        """Rank of the augmentation ideal: always dim - 1 for a surjective
-        augmentation."""
-        return self.dim - 1
 
     # -- wire format ---------------------------------------------------------
 

@@ -79,6 +79,19 @@ def _xgcd(a, b):
     return old_r, old_x, old_y
 
 
+def _combine(terms, rows):
+    """The row sum of c·rows[k] over the sparse (k, c) pairs of ``terms``,
+    one whole-list operation per pair.  A single unit term gives rows[k]
+    itself, not a copy, and no terms give the zero row."""
+    if not terms:
+        return [0] * len(rows[0])
+    k, c = terms[0]
+    acc = rows[k] if c == 1 else [c * x for x in rows[k]]
+    for k, c in terms[1:]:
+        acc = [a + c * x for a, x in zip(acc, rows[k])]
+    return acc
+
+
 class IntMatrix:
     """A dense matrix of Python ints, stored as a list of row lists.
 
@@ -328,14 +341,7 @@ class Lattice:
         """
         if len(rows) != self.ambient_dim:
             raise ValueError("row count does not match ambient dimension")
-        out = []
-        for terms in self._rows:
-            k, c = terms[0]
-            acc = rows[k] if c == 1 else [c * x for x in rows[k]]
-            for k, c in terms[1:]:
-                acc = [a + c * x for a, x in zip(acc, rows[k])]
-            out.append(acc)
-        return out
+        return [_combine(terms, rows) for terms in self._rows]
 
     def conjugate(self, side, modulus):
         """Carry k operators from Z^n to this basis B at once, and key their

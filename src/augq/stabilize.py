@@ -159,7 +159,7 @@ def build_report(ring, ring_id, max_n=DEFAULT_MAX_N, min_window=DEFAULT_MIN_WIND
     quotients = quotient_sequence(ring, max_n)
     first = quotients[0].group.invariant_factors
     d = first[-1] if first else 1
-    r = ring.free_rank()
+    r = quotients[0].ideal_rank
     detected = detect_stabilization([q.group for q in quotients], min_window)
     n0, window = detected if detected else (None, None)
     bound_ok = verify_bound(quotients, d, r)

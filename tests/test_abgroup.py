@@ -246,6 +246,19 @@ def test_factorint_matches_trial_division():
         assert prod == n
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 10, 2**61 - 1])
+def test_divide_out_matches_a_division_loop(q):
+    # f = q^e·u, where u may hold more factors q for a composite or small q
+    rng = random.Random(f"divide out {q}")
+    for _ in range(100):
+        f = q ** rng.randrange(301) * rng.randrange(1, 10**6)
+        want_e, want_f = 0, f
+        while want_f % q == 0:
+            want_e += 1
+            want_f //= q
+        assert abgroup._divide_out(f, q) == (want_e, want_f)
+
+
 def test_factorint_splits_large_cofactors(monkeypatch):
     assert abgroup._factorint((2**31 - 1) * (2**31 + 11)) == {
         2**31 - 1: 1, 2**31 + 11: 1,

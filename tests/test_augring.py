@@ -15,7 +15,7 @@ from augq.augring import (
     decode_int,
     encode_int,
 )
-from augq.abgroup import FinAbGroup
+from augq.abgroup import FinAbGroup, _factorint
 from augq.constructors import group_ring, parse_group_spec
 from augq.intlinalg import (
     Lattice,
@@ -301,9 +301,9 @@ def test_quotient_group_frozen():
 def test_torsion_exponent_and_free_rank():
     assert _torsion_exponent(zc2()) == 2
     assert _torsion_exponent(ring_z()) == 1
-    assert zc2().free_rank() == 1
-    assert zc3().free_rank() == 2
-    assert ring_z().free_rank() == 0
+    assert quotient_sequence(zc2(), 1)[0].ideal_rank == 1
+    assert quotient_sequence(zc3(), 1)[0].ideal_rank == 2
+    assert quotient_sequence(ring_z(), 1)[0].ideal_rank == 0
     # Z(C2xC2): Q1 = G, exponent 2
     # on the basis e, g, a, b, with ga = b: b_i·b_j = b_(i xor j)
     k4 = [[i, j, i ^ j, 1] for i in range(4) for j in range(i, 4)]
@@ -341,9 +341,8 @@ def test_ideal_generators_close_to_the_ideal_on_corpus():
 
 
 def test_ideal_generators_are_frozen_on_the_corpus_and_rebased_copies():
-    # the picks of the closure that rebuilt a canonical lattice for every
-    # generator; the running echelon must pick the same rows.  Rebased
-    # copies stop at dimension 12, where rebasing stays cheap.
+    # the picks in order of L1 norm, rows of equal norm in HNF order.
+    # Rebased copies stop at dimension 12, where rebasing stays cheap.
     picked = []
     for family, spec in corpus_ring_specs():
         ring = build_corpus_ring(family, spec)
@@ -351,15 +350,15 @@ def test_ideal_generators_are_frozen_on_the_corpus_and_rebased_copies():
         if 2 <= ring.dim <= 12:
             rebased = _rebased(ring, random.Random(f"generators {family}:{spec}"))
             picked.append(rebased.ideal_generators())
-    assert (len(picked), sum(map(len, picked))) == (95, 245)
+    assert (len(picked), sum(map(len, picked))) == (95, 208)
     digest = hashlib.sha256(json.dumps(picked).encode()).hexdigest()
-    assert digest == "6e31e2e62064651ca30f18c3b05bdc425b206c376e9848d3bc315ad4811295b5"
+    assert digest == "03f9ada66bc99e232b61ad8418923f6c003e5993ad735bf6e0ae91cbc2102e6a"
 
 
 @pytest.mark.parametrize(
     "family,spec,k",
-    [("group-ring", "C8", 1), ("group-ring", "C2xC2xC8", 3), ("burnside", "D6", 6),
-     ("burnside", "C2xC4", 7), ("burnside", "C2xC2xC2", 15)],
+    [("group-ring", "C8", 1), ("group-ring", "C2xC2xC8", 3), ("burnside", "D6", 4),
+     ("burnside", "C2xC4", 5), ("burnside", "C2xC2xC2", 7)],
 )
 def test_chain_start_builds_one_lattice_whatever_the_generator_count(
     family, spec, k, monkeypatch
@@ -376,6 +375,24 @@ def test_chain_start_builds_one_lattice_whatever_the_generator_count(
     assert len(ring.ideal_generators()) == k
     # the square; the closure keeps one running echelon instead
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "family,spec,bound",
+    [("burnside", "C2xC2xC2xC2", 15), ("burnside", "C2xC4xC4", 19),
+     ("burnside", "D16", 9), ("group-ring", "C2xC2xC8", 3)],
+)
+def test_ideal_generators_meet_the_nakayama_bound(family, spec, bound):
+    # generators of I generate Q_1 = I / I^2, so none has fewer than its
+    # largest p-rank; in order of L1 norm these rings need no more
+    ring = build_corpus_ring(family, spec)
+    q1 = quotient_sequence(ring, 1)[0].group
+    ranks = [
+        q1.p_power_valuation(p, 0) - q1.p_power_valuation(p, 1)
+        for p in _factorint(q1.invariant_factors[-1])
+    ]
+    assert max(ranks) == bound
+    assert len(ring.ideal_generators()) == bound
 
 
 def test_ideal_generators_are_fresh_lists():
@@ -409,13 +426,13 @@ def test_validate_expands_half_the_triples_on_commutative_rings(
 ):
     ring = build_corpus_ring(family, spec)
     calls = []
-    expand = augring._expand
+    combine = augring._combine
 
-    def counting_expand(terms, packed):
+    def counting_combine(terms, rows):
         calls.append(None)
-        return expand(terms, packed)
+        return combine(terms, rows)
 
-    monkeypatch.setattr(augring, "_expand", counting_expand)
+    monkeypatch.setattr(augring, "_combine", counting_combine)
     assert ring.validate().passed
     m = ring.dim
     # one packed expansion of (b_a b_b) b_c for every c per sorted pair (a, b)
@@ -502,7 +519,7 @@ def _assert_chain_matches_oracle(ring, max_n):
         }
         assert powers[n].basis.data == hnf_oracle(sorted(products)), n
     for n, step in enumerate(steps, 2):
-        assert step.ambient_dim == step.rank == ring.free_rank()
+        assert step.ambient_dim == step.rank == ring.dim - 1
         want = quotient_invariants(powers[n - 1], powers[n])
         assert smith_invariants(step.basis.data, step.rank) == want, n
 
@@ -563,7 +580,8 @@ def big_modulus_ring():
 def test_ideal_powers_match_the_product_oracle_past_64_bits():
     ring = big_modulus_ring()
     assert ring.validate().passed
-    assert len(ring.ideal_generators()) == 2
+    # the entry near 2^71 dominates the L1 norm
+    assert len(ring.ideal_generators()) == 3
     _assert_chain_matches_oracle(ring, 8)
     groups = [q.group.invariant_factors for q in quotient_sequence(ring, 8)]
     assert groups[0] == (2**65, 15 * 2**70)

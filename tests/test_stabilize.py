@@ -119,7 +119,7 @@ def test_lambda_diagnostics_rows():
 def test_lambda_diagnostics_rows_match_multiplication(family, spec, monkeypatch):
     ring = build_corpus_ring(family, spec)
     seq = quotient_sequence(ring, 8)
-    d, r = seq[0].group.invariant_factors[-1], ring.free_rank()
+    d, r = seq[0].group.invariant_factors[-1], ring.dim - 1
     want = {}
     for p in abgroup._factorint(d):
         s = 0
@@ -147,7 +147,7 @@ def test_lambda_diagnostics_rows_match_multiplication(family, spec, monkeypatch)
 def test_lambda_diagnostics_values_once_per_distinct_group(family, spec, monkeypatch):
     ring = build_corpus_ring(family, spec)
     seq = quotient_sequence(ring, 12)
-    d, r = seq[0].group.invariant_factors[-1], ring.free_rank()
+    d, r = seq[0].group.invariant_factors[-1], ring.dim - 1
     calls = []
     valuation = FinAbGroup.p_power_valuation
 
